@@ -5,6 +5,7 @@ import (
 
 	"dare/internal/dfs"
 	"dare/internal/stats"
+	"dare/internal/topology"
 )
 
 // BenchmarkGreedyLRUOnMapTask measures Algorithm 1's per-task cost at a
@@ -24,3 +25,22 @@ func BenchmarkElephantTrapOnMapTask(b *testing.B) {
 		et.OnMapTask(dfs.BlockID(i%1000), dfs.FileID(i%37), 128, i%3 == 0)
 	}
 }
+
+// BenchmarkNewManager measures building the per-node policies of a
+// 20k-node cluster (40-node racks, paper-default ElephantTrap): one rule
+// set and one RNG stream per data node.
+func BenchmarkNewManager(b *testing.B) {
+	topo := topology.NewDedicated(20000, 40, stats.Constant{V: 0})
+	nn := dfs.NewNameNode(topo, 3, stats.NewRNG(1))
+	if _, err := nn.CreateFile("input", 1000, 128<<20, 0); err != nil {
+		b.Fatal(err)
+	}
+	noDefer := func(float64, func()) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		managerSink = NewManager(DefaultConfig(), nn, stats.NewRNG(uint64(i)), noDefer)
+	}
+}
+
+var managerSink *Manager

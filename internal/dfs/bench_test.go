@@ -7,15 +7,29 @@ import (
 	"dare/internal/topology"
 )
 
-// BenchmarkCreateFile measures rack-aware primary placement.
+// BenchmarkCreateFile measures rack-aware primary placement, per file of
+// 16 blocks, on a 100-node cluster and on the 20k-node scale target
+// (40-node racks, where the third-replica pick's probes almost always
+// miss and the rack walk runs).
 func BenchmarkCreateFile(b *testing.B) {
-	topo := topology.NewDedicated(100, 20, stats.Constant{V: 0})
-	nn := NewNameNode(topo, 3, stats.NewRNG(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nn.CreateFile("f", 16, 128, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name            string
+		nodes, rackSize int
+	}{
+		{"nodes=100", 100, 20},
+		{"nodes=20000", 20000, 40},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			topo := topology.NewDedicated(c.nodes, c.rackSize, stats.Constant{V: 0})
+			nn := NewNameNode(topo, 3, stats.NewRNG(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := nn.CreateFile("f", 16, 128, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dare/internal/event"
@@ -88,6 +89,11 @@ type NameNode struct {
 	// primaryBytes[n] and dynamicBytes[n] track storage accounting.
 	primaryBytes []int64
 	dynamicBytes []int64
+
+	// rackNodes[r] lists rack r's nodes in ascending ID order. The
+	// third-replica pick walks only its target rack's members, so
+	// placement costs O(rack), not O(n), per block.
+	rackNodes [][]topology.NodeID
 
 	// failed marks downed data nodes; placement avoids them.
 	failed map[topology.NodeID]bool
@@ -187,7 +193,23 @@ func NewNameNode(topo topology.Topology, replication int, rng *stats.RNG) *NameN
 		nn.perNode[i] = make(map[BlockID]ReplicaKind)
 	}
 	nn.failed = make(map[topology.NodeID]bool)
+	nn.rackNodes = rackIndex(topo)
 	return nn
+}
+
+// rackIndex groups topo's nodes by rack, each rack's members in ascending
+// ID order. It asks only topo.Rack, so it serves Dedicated and Virtual
+// layouts alike.
+func rackIndex(topo topology.Topology) [][]topology.NodeID {
+	var index [][]topology.NodeID
+	for i := 0; i < topo.N(); i++ {
+		r := topo.Rack(topology.NodeID(i))
+		if r >= len(index) {
+			index = append(index, make([][]topology.NodeID, r+1-len(index))...)
+		}
+		index[r] = append(index[r], topology.NodeID(i))
+	}
+	return index
 }
 
 // SetBus installs the event bus the name node publishes to. Wiring
@@ -263,6 +285,13 @@ func (nn *NameNode) CreateFile(name string, numBlocks int, blockSize int64, now 
 // random node, second on a node in a different rack when one exists, third
 // in the same rack as the second; any further replicas go to random
 // distinct nodes. Fewer nodes than replicas degrades gracefully.
+//
+// Each pick makes eight uniform probes over all n nodes, then, if every
+// probe misses, walks the nodes in wrapped order (start, start+1, …)
+// from one more uniform draw and takes the first usable one. The
+// third-replica walk visits only rack r1's members, from the first one at
+// or after start, wrapping: the same node the full walk would reach first,
+// found in O(rack) instead of O(n), from the same draws.
 func (nn *NameNode) placePrimaries(b *Block) {
 	n := nn.topo.N()
 	want := nn.replication
@@ -270,22 +299,40 @@ func (nn *NameNode) placePrimaries(b *Block) {
 		want = n
 	}
 	chosen := make([]topology.NodeID, 0, want)
-	used := make(map[topology.NodeID]bool, want)
-	pick := func(ok func(topology.NodeID) bool) (topology.NodeID, bool) {
-		// Bounded random probing, then linear fallback keeps placement
-		// O(n) worst-case while staying random in the common case. Downed
-		// nodes never receive new replicas.
-		usable := func(cand topology.NodeID) bool {
-			return !used[cand] && !nn.failed[cand] && (ok == nil || ok(cand))
-		}
+	// Downed nodes never receive new replicas.
+	usable := func(cand topology.NodeID, ok func(topology.NodeID) bool) bool {
+		return !slices.Contains(chosen, cand) && !nn.failed[cand] && (ok == nil || ok(cand))
+	}
+	probe := func(ok func(topology.NodeID) bool) (topology.NodeID, bool) {
 		for t := 0; t < 8; t++ {
-			if cand := topology.NodeID(nn.rng.Intn(n)); usable(cand) {
+			if cand := topology.NodeID(nn.rng.Intn(n)); usable(cand, ok) {
 				return cand, true
 			}
 		}
+		return 0, false
+	}
+	pick := func(ok func(topology.NodeID) bool) (topology.NodeID, bool) {
+		if cand, hit := probe(ok); hit {
+			return cand, true
+		}
 		start := nn.rng.Intn(n)
 		for i := 0; i < n; i++ {
-			if cand := topology.NodeID((start + i) % n); usable(cand) {
+			if cand := topology.NodeID((start + i) % n); usable(cand, ok) {
+				return cand, true
+			}
+		}
+		return 0, false
+	}
+	pickInRack := func(r int) (topology.NodeID, bool) {
+		inRack := func(c topology.NodeID) bool { return nn.topo.Rack(c) == r }
+		if cand, hit := probe(inRack); hit {
+			return cand, true
+		}
+		start := topology.NodeID(nn.rng.Intn(n))
+		members := nn.rackNodes[r]
+		k, _ := slices.BinarySearch(members, start)
+		for i := range members {
+			if cand := members[(k+i)%len(members)]; usable(cand, nil) {
 				return cand, true
 			}
 		}
@@ -297,7 +344,6 @@ func (nn *NameNode) placePrimaries(b *Block) {
 		return
 	}
 	chosen = append(chosen, first)
-	used[first] = true
 
 	if want >= 2 {
 		r0 := nn.topo.Rack(first)
@@ -307,18 +353,15 @@ func (nn *NameNode) placePrimaries(b *Block) {
 		}
 		if ok {
 			chosen = append(chosen, second)
-			used[second] = true
 		}
 	}
 	if want >= 3 && len(chosen) >= 2 {
-		r1 := nn.topo.Rack(chosen[1])
-		third, ok := pick(func(c topology.NodeID) bool { return nn.topo.Rack(c) == r1 })
+		third, ok := pickInRack(nn.topo.Rack(chosen[1]))
 		if !ok {
 			third, ok = pick(nil)
 		}
 		if ok {
 			chosen = append(chosen, third)
-			used[third] = true
 		}
 	}
 	for len(chosen) < want {
@@ -327,7 +370,6 @@ func (nn *NameNode) placePrimaries(b *Block) {
 			break
 		}
 		chosen = append(chosen, extra)
-		used[extra] = true
 	}
 
 	locs := make(map[topology.NodeID]ReplicaKind, len(chosen))

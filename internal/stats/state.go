@@ -36,7 +36,7 @@ var rngStateCapable = rngStateSelfTest()
 func StateSerializable() bool { return rngStateCapable }
 
 // srcFields locates the addressable reflect.Values of the generator
-// internals behind g.r: the rngSource struct and Rand's readVal/readPos
+// internals behind r: the rngSource struct and Rand's readVal/readPos
 // Read-cache fields.
 func srcFields(r *rand.Rand) (src, readVal, readPos reflect.Value, err error) {
 	defer func() {
@@ -100,7 +100,10 @@ func (g *RNG) EncodeState(e *snapshot.Enc) error {
 		return fmt.Errorf("stats: rng state images unsupported on this runtime")
 	}
 	e.U8(rngImageFull)
-	src, readVal, readPos, err := srcFields(g.r)
+	// src() seeds a stream drawn only through Bool(p<=0) / Bool(p>=1)
+	// (counted, never seeded), so its image carries the freshly seeded
+	// generator, byte-identical to an eagerly seeded stream's.
+	src, readVal, readPos, err := srcFields(g.src())
 	if err != nil {
 		return err
 	}
@@ -124,17 +127,17 @@ func (g *RNG) DecodeState(d *snapshot.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	fresh := NewRNG(seed)
 	switch form {
 	case rngImageFresh:
-		*g = *fresh
-		g.draws = draws
+		// Rebuilt from the seed on its first draw, like any new stream.
+		*g = RNG{seed: seed, draws: draws}
 		return nil
 	case rngImageFull:
 		if !rngStateCapable {
 			return fmt.Errorf("stats: rng state images unsupported on this runtime")
 		}
-		src, readVal, readPos, err := srcFields(fresh.r)
+		r := newRand(seed)
+		src, readVal, readPos, err := srcFields(r)
 		if err != nil {
 			return err
 		}
@@ -149,9 +152,7 @@ func (g *RNG) DecodeState(d *snapshot.Dec) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		*g = *fresh
-		g.seed = seed
-		g.draws = draws
+		*g = RNG{r: r, seed: seed, draws: draws}
 		return nil
 	default:
 		return fmt.Errorf("stats: unknown rng image form %d", form)
@@ -202,8 +203,8 @@ func rngStateSelfTest() (ok bool) {
 	if form != rngImageFull {
 		return false
 	}
-	fresh := NewRNG(seed)
-	bsrc, brv, brp, err := srcFields(fresh.r)
+	br := newRand(seed)
+	bsrc, brv, brp, err := srcFields(br)
 	if err != nil {
 		return false
 	}
@@ -218,8 +219,7 @@ func rngStateSelfTest() (ok bool) {
 	if d.Err() != nil {
 		return false
 	}
-	*b = *fresh
-	b.seed, b.draws = seed, draws
+	*b = RNG{r: br, seed: seed, draws: draws}
 
 	if a.draws != b.draws || a.seed != b.seed {
 		return false
