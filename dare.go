@@ -199,6 +199,10 @@ type (
 	NodeFailure = runner.NodeFailure
 )
 
+// ErrNegativeFairSkips rejects Options.FairSkips < 0, directly or from a
+// resumed checkpoint; 0 means the default patience.
+var ErrNegativeFairSkips = runner.ErrNegativeFairSkips
+
 // Run executes one full cluster simulation: it builds the cluster from the
 // profile, loads the workload's files into the DFS, replays the job trace
 // under the chosen scheduler with DARE attached (unless Policy.Kind is

@@ -4,6 +4,7 @@
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -23,6 +24,10 @@ import (
 	"dare/internal/workload"
 )
 
+// ErrNegativeFairSkips rejects a negative delay-scheduling patience,
+// whether it comes from Options or from a resumed checkpoint's RunSpec.
+var ErrNegativeFairSkips = errors.New("runner: negative fair-skips")
+
 // Options configures one simulation run.
 type Options struct {
 	// Profile selects the testbed (config.CCT(), config.EC2(), ...).
@@ -32,7 +37,8 @@ type Options struct {
 	// Scheduler is "fifo" or "fair".
 	Scheduler string
 	// FairSkips is the delay-scheduling patience (skipped scheduling
-	// opportunities) for the fair scheduler; <= 0 uses the default.
+	// opportunities) for the fair scheduler; 0 uses the default and a
+	// negative value is rejected with ErrNegativeFairSkips.
 	FairSkips int
 	// Policy configures DARE; Kind == core.NonePolicy runs vanilla.
 	Policy core.Config
@@ -259,6 +265,9 @@ func newRunState(opts Options) (*runState, error) {
 	}
 	if opts.Workload == nil {
 		return nil, fmt.Errorf("runner: Workload is required")
+	}
+	if opts.FairSkips < 0 {
+		return nil, fmt.Errorf("%w: %d (0 means the default, %d)", ErrNegativeFairSkips, opts.FairSkips, scheduler.DefaultMaxSkips)
 	}
 	sel, ok := scheduler.FromName(opts.Scheduler, opts.FairSkips)
 	if !ok {

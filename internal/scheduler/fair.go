@@ -1,7 +1,8 @@
 package scheduler
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dare/internal/dfs"
 	"dare/internal/mapreduce"
@@ -16,12 +17,13 @@ import (
 const DefaultMaxSkips = 8
 
 // Fair implements fair sharing with delay scheduling. Each free slot is
-// offered to active jobs ordered by how far below their fair share they
-// run (fewest running maps first, arrival order as tie-break). A job
-// launches immediately when it has a node-local block on the offering
-// node; otherwise its skip count grows, and once it exceeds MaxSkips the
-// job accepts a non-local launch (rack-local preferred). Any launch resets
-// the job's skip count.
+// offered to the jobs with pending maps, ordered by how far below their
+// fair share they run (fewest running maps first, arrival order as
+// tie-break). A job launches immediately when it has a node-local block on
+// the offering node; otherwise its skip count grows, and once it exceeds
+// MaxSkips the job accepts a non-local launch (rack-local preferred). Any
+// launch resets the job's skip count. An offer costs O(jobs with pending
+// maps) beyond one filtering pass and allocates nothing (DESIGN.md §4m).
 type Fair struct {
 	// MaxSkips is the node-level delay-scheduling patience in scheduling
 	// opportunities (Zaharia's D1): a job may launch rack-local once it
@@ -34,27 +36,28 @@ type Fair struct {
 	// inside the rack.
 	RackSkips int
 
-	jobs  []*mapreduce.Job
-	skips map[*mapreduce.Job]int
-	// scratch avoids re-allocating the sort slice on every offer, and
-	// poolLoad is the reusable per-offer pool-load accumulator.
-	scratch  []*mapreduce.Job
+	// jobs holds the active jobs and their skip counts in arrival order.
+	jobs []fairJob
+	// order is the reusable per-offer list of indices into jobs, and
+	// poolLoad the reusable pool-load accumulator (multi-pool offers only).
+	order    []int
 	poolLoad map[string]int
+}
+
+// fairJob is one active job with its delay-scheduling skip count.
+type fairJob struct {
+	j     *mapreduce.Job
+	skips int
 }
 
 // NewFair returns a Fair scheduler with the given node-level patience;
 // non-positive means DefaultMaxSkips. The rack-level patience defaults to
 // the same value (use NewFairTwoLevel for explicit control).
-func NewFair(maxSkips int) *Fair {
-	if maxSkips <= 0 {
-		maxSkips = DefaultMaxSkips
-	}
-	return &Fair{MaxSkips: maxSkips, RackSkips: maxSkips, skips: make(map[*mapreduce.Job]int), poolLoad: make(map[string]int, 4)}
-}
+func NewFair(maxSkips int) *Fair { return NewFairTwoLevel(maxSkips, -1) }
 
 // NewFairTwoLevel returns a Fair scheduler with explicit node-level (d1)
 // and rack-level (d2) patience, matching the two thresholds of the delay
-// scheduling algorithm.
+// scheduling algorithm; a negative d2 means the same as d1.
 func NewFairTwoLevel(d1, d2 int) *Fair {
 	if d1 <= 0 {
 		d1 = DefaultMaxSkips
@@ -62,7 +65,7 @@ func NewFairTwoLevel(d1, d2 int) *Fair {
 	if d2 < 0 {
 		d2 = d1
 	}
-	return &Fair{MaxSkips: d1, RackSkips: d2, skips: make(map[*mapreduce.Job]int), poolLoad: make(map[string]int, 4)}
+	return &Fair{MaxSkips: d1, RackSkips: d2}
 }
 
 // Name implements mapreduce.TaskSelector.
@@ -70,60 +73,66 @@ func (s *Fair) Name() string { return "fair" }
 
 // AddJob implements mapreduce.TaskSelector.
 func (s *Fair) AddJob(j *mapreduce.Job) {
-	s.jobs = append(s.jobs, j)
-	s.skips[j] = 0
+	s.jobs = append(s.jobs, fairJob{j: j})
 }
 
 // RemoveJob implements mapreduce.TaskSelector.
 func (s *Fair) RemoveJob(j *mapreduce.Job) {
-	for i, cur := range s.jobs {
-		if cur == j {
-			s.jobs = append(s.jobs[:i], s.jobs[i+1:]...)
-			break
-		}
-	}
-	delete(s.skips, j)
+	s.jobs = slices.DeleteFunc(s.jobs, func(fj fairJob) bool { return fj.j == j })
 }
 
 // Jobs reports the number of registered jobs.
 func (s *Fair) Jobs() int { return len(s.jobs) }
 
 // Skips reports a job's current skip count (testing/introspection).
-func (s *Fair) Skips(j *mapreduce.Job) int { return s.skips[j] }
-
-// fairOrder fills scratch with jobs in hierarchical fair order, the
-// Hadoop Fair Scheduler's two-level policy: pools are ordered by their
-// total running maps (the pool furthest below its share of the cluster
-// first), and within a pool jobs are ordered by their own running maps.
-// Arrival order is the stable tie-break at both levels. With a single
-// pool this degenerates to plain job-level fair sharing.
-func (s *Fair) fairOrder() []*mapreduce.Job {
-	s.scratch = s.scratch[:0]
-	s.scratch = append(s.scratch, s.jobs...)
-	if s.poolLoad == nil {
-		s.poolLoad = make(map[string]int, 4)
+func (s *Fair) Skips(j *mapreduce.Job) int {
+	if i := slices.IndexFunc(s.jobs, func(fj fairJob) bool { return fj.j == j }); i >= 0 {
+		return s.jobs[i].skips
 	}
-	clear(s.poolLoad)
-	poolLoad := s.poolLoad
+	return 0
+}
+
+// fairOrder fills order with the indices of the jobs that have pending
+// maps, in hierarchical fair order (the Hadoop Fair Scheduler's two-level
+// policy): pools by the running maps of all their jobs, the pool furthest
+// below its share first, then jobs by their own running maps. Arrival
+// order breaks ties at both levels. Filtering before the stable sort drops
+// only jobs SelectMapTask would pass over untouched (DESIGN.md §4m).
+func (s *Fair) fairOrder() []int {
+	s.order = s.order[:0]
 	multiPool := false
-	for _, j := range s.jobs {
-		poolLoad[j.Spec.Pool] += j.RunningMaps()
-		if j.Spec.Pool != s.jobs[0].Spec.Pool {
+	for i, fj := range s.jobs {
+		if fj.j.PendingMaps() == 0 {
+			continue
+		}
+		if len(s.order) > 0 && fj.j.Spec.Pool != s.jobs[s.order[0]].j.Spec.Pool {
 			multiPool = true
 		}
+		s.order = append(s.order, i)
 	}
-	sort.SliceStable(s.scratch, func(a, b int) bool {
-		ja, jb := s.scratch[a], s.scratch[b]
-		if multiPool && ja.Spec.Pool != jb.Spec.Pool {
-			la, lb := poolLoad[ja.Spec.Pool], poolLoad[jb.Spec.Pool]
-			if la != lb {
-				return la < lb
-			}
-			return ja.Spec.Pool < jb.Spec.Pool
+	if len(s.order) < 2 {
+		return s.order
+	}
+	if multiPool {
+		if s.poolLoad == nil {
+			s.poolLoad = make(map[string]int, 4)
 		}
-		return ja.RunningMaps() < jb.RunningMaps()
+		clear(s.poolLoad)
+		for _, fj := range s.jobs {
+			s.poolLoad[fj.j.Spec.Pool] += fj.j.RunningMaps()
+		}
+	}
+	slices.SortStableFunc(s.order, func(a, b int) int {
+		ja, jb := s.jobs[a].j, s.jobs[b].j
+		if multiPool && ja.Spec.Pool != jb.Spec.Pool {
+			if c := cmp.Compare(s.poolLoad[ja.Spec.Pool], s.poolLoad[jb.Spec.Pool]); c != 0 {
+				return c
+			}
+			return cmp.Compare(ja.Spec.Pool, jb.Spec.Pool)
+		}
+		return cmp.Compare(ja.RunningMaps(), jb.RunningMaps())
 	})
-	return s.scratch
+	return s.order
 }
 
 // SelectMapTask implements mapreduce.TaskSelector with delay scheduling
@@ -132,27 +141,26 @@ func (s *Fair) fairOrder() []*mapreduce.Job {
 // launches non-locally; otherwise the job is skipped and its budget
 // shrinks.
 func (s *Fair) SelectMapTask(node topology.NodeID, now float64) (*mapreduce.Job, dfs.BlockID, bool) {
-	for _, j := range s.fairOrder() {
-		if j.PendingMaps() == 0 {
-			continue
-		}
+	for _, i := range s.fairOrder() {
+		fj := &s.jobs[i]
+		j := fj.j
 		if b, ok := j.TakeLocalBlock(node); ok {
-			s.skips[j] = 0
+			fj.skips = 0
 			return j, b, true
 		}
-		if s.skips[j] >= s.MaxSkips {
+		if fj.skips >= s.MaxSkips {
 			if b, ok := j.TakeRackLocalBlock(node); ok {
-				s.skips[j] = 0
+				fj.skips = 0
 				return j, b, true
 			}
-			if s.skips[j] >= s.MaxSkips+s.RackSkips {
+			if fj.skips >= s.MaxSkips+s.RackSkips {
 				if b, ok := j.TakeAnyBlock(); ok {
-					s.skips[j] = 0
+					fj.skips = 0
 					return j, b, true
 				}
 			}
 		}
-		s.skips[j]++
+		fj.skips++
 	}
 	return nil, 0, false
 }
@@ -161,7 +169,8 @@ func (s *Fair) SelectMapTask(node topology.NodeID, now float64) (*mapreduce.Job,
 // below its fair reduce share (fewest running reduces) goes first.
 func (s *Fair) SelectReduceTask(node topology.NodeID, now float64) (*mapreduce.Job, bool) {
 	var best *mapreduce.Job
-	for _, j := range s.jobs {
+	for _, fj := range s.jobs {
+		j := fj.j
 		if j.PendingReduces() == 0 {
 			continue
 		}

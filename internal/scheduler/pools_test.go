@@ -49,7 +49,7 @@ func TestPoolOrderingPrefersLessLoadedPool(t *testing.T) {
 	// RunningMaps is driven by the tracker; at rest both are zero, so
 	// arrival order applies and batch (arrived first) leads.
 	order := s.fairOrder()
-	if order[0] != jBatch {
+	if len(order) != 2 || s.jobs[order[0]].j != jBatch {
 		t.Fatalf("at rest, arrival order should lead with the batch job")
 	}
 }

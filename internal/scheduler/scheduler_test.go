@@ -249,9 +249,25 @@ func TestFairRemoveJobCleansState(t *testing.T) {
 	s := NewFair(5)
 	j1 := fx.job(1, 0, 0, 2)
 	s.AddJob(j1)
+	remote, ok := remoteFor(fx, j1)
+	if !ok {
+		t.Skip("placement left no fully-remote node")
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, got := s.SelectMapTask(remote, 0); got {
+			t.Fatal("non-local offer should be skipped")
+		}
+	}
+	if s.Skips(j1) != 3 {
+		t.Fatalf("skips %d before removal, want 3", s.Skips(j1))
+	}
 	s.RemoveJob(j1)
-	if s.Jobs() != 0 || len(s.skips) != 0 {
+	if s.Jobs() != 0 || s.Skips(j1) != 0 {
 		t.Fatal("state leaked after RemoveJob")
+	}
+	s.AddJob(j1)
+	if s.Skips(j1) != 0 {
+		t.Fatalf("re-added job starts at %d skips, want 0", s.Skips(j1))
 	}
 }
 

@@ -17,8 +17,8 @@ func (s *Fair) AddState(h *snapshot.Hash) {
 	h.Int(s.MaxSkips)
 	h.Int(s.RackSkips)
 	h.Int(len(s.jobs))
-	for _, j := range s.jobs {
-		h.Int(j.Spec.ID)
-		h.Int(s.skips[j])
+	for _, fj := range s.jobs {
+		h.Int(fj.j.Spec.ID)
+		h.Int(fj.skips)
 	}
 }

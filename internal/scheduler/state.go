@@ -44,9 +44,9 @@ func (s *Fair) EncodeState(e *snapshot.Enc) {
 	e.Int(s.MaxSkips)
 	e.Int(s.RackSkips)
 	e.U32(uint32(len(s.jobs)))
-	for _, j := range s.jobs {
-		e.Int(j.Spec.ID)
-		e.Int(s.skips[j])
+	for _, fj := range s.jobs {
+		e.Int(fj.j.Spec.ID)
+		e.Int(fj.skips)
 	}
 }
 
@@ -59,10 +59,6 @@ func (s *Fair) DecodeState(d *snapshot.Dec, job func(id int) *mapreduce.Job) err
 		return d.Err()
 	}
 	s.jobs = s.jobs[:0]
-	if s.skips == nil {
-		s.skips = make(map[*mapreduce.Job]int, n)
-	}
-	clear(s.skips)
 	for i := 0; i < n; i++ {
 		id := d.Int()
 		skips := d.Int()
@@ -70,8 +66,7 @@ func (s *Fair) DecodeState(d *snapshot.Dec, job func(id int) *mapreduce.Job) err
 		if j == nil {
 			return fmt.Errorf("scheduler: fair state names unknown job %d", id)
 		}
-		s.jobs = append(s.jobs, j)
-		s.skips[j] = skips
+		s.jobs = append(s.jobs, fairJob{j: j, skips: skips})
 	}
 	return d.Err()
 }
