@@ -254,15 +254,7 @@ func experiments() []experiment {
 			}
 			return dare.RenderEvents(rows), nil
 		}},
-		{"engine", "Engine core: calendar queue vs legacy heap, events/sec and allocs/event per arm", func(jobs int, seed uint64) (string, error) {
-			rows, err := dare.EngineStudy(jobs, seed)
-			if err != nil {
-				return "", err
-			}
-			engineRows = rows
-			return dare.RenderEngine(rows), nil
-		}},
-		{"scale", "Scale: coalesced cohort vs per-node heartbeats at 1k-20k nodes (A16)", func(jobs int, seed uint64) (string, error) {
+		{"scale", "Scale: coalesced cohort heartbeats at 1k-20k nodes, CPU time and event throughput (A16)", func(jobs int, seed uint64) (string, error) {
 			rows, err := dare.ScaleStudy(jobs, seed)
 			if err != nil {
 				return "", err
@@ -304,12 +296,8 @@ func experiments() []experiment {
 	}
 }
 
-// engineRows holds the last engine experiment's per-arm measurements so
-// -json can embed them in BENCH_engine.json.
-var engineRows []dare.EngineRow
-
-// scaleRows likewise holds the scale experiment's per-arm measurements
-// for BENCH_scale.json.
+// scaleRows holds the last scale experiment's per-size measurements so
+// -json can embed them in BENCH_scale.json.
 var scaleRows []dare.ScaleRow
 
 // failoverRows holds the failover experiment's per-arm measurements for
@@ -476,11 +464,8 @@ type benchRecord struct {
 	// BusEvents breaks down the cluster bus traffic the experiment published,
 	// keyed by event kind (zero-count kinds are omitted).
 	BusEvents map[string]uint64 `json:"bus_events,omitempty"`
-	// Engine carries the per-arm queue measurements when the experiment is
-	// the engine microbenchmark (heap-vs-calendar record).
-	Engine []dare.EngineRow `json:"engine,omitempty"`
-	// Scale carries the per-arm driver measurements when the experiment is
-	// the scale benchmark (cohort-vs-per-node record).
+	// Scale carries the per-size measurements when the experiment is the
+	// scale benchmark.
 	Scale []dare.ScaleRow `json:"scale,omitempty"`
 	// Failover carries the per-arm recovery measurements when the
 	// experiment is the control-plane failover study (journal-vs-report
@@ -510,9 +495,6 @@ func writeBenchJSON(dir string, e experiment, jobs int, seed uint64, elapsed tim
 		WallSeconds: elapsed.Seconds(),
 		Events:      events,
 		BusEvents:   bus.Map(),
-	}
-	if e.id == "engine" {
-		rec.Engine = engineRows
 	}
 	if e.id == "scale" {
 		rec.Scale = scaleRows

@@ -256,14 +256,7 @@ func (t *Tracker) AddState(tab *snapshot.StateTable) {
 
 	hh := snapshot.NewHash()
 	if t.hb != nil {
-		if t.hb.ct != nil {
-			t.hb.ct.AddState(hh)
-		}
-		for _, tk := range t.hb.tickers {
-			if tk != nil {
-				tk.AddState(hh)
-			}
-		}
+		t.hb.ct.AddState(hh)
 	}
 	tab.Add("mr.heartbeats", hh.Sum())
 

@@ -1105,28 +1105,21 @@ func (t *Tracker) DecodeState(d *snapshot.Dec) error {
 	return d.Err()
 }
 
-// encodeState serializes the heartbeat driver: cohort slot tables and
-// grid positions (coalesced mode) or per-node tickers. Member identity is
-// the node ID — handles are index-aligned with Cluster.Nodes.
+// encodeState serializes the heartbeat driver: each cohort's slot table
+// and grid position. Member identity is the node ID — handles are
+// index-aligned with Cluster.Nodes. The leading mode byte is always true:
+// it once told cohort images from per-node-ticker images, and stays so
+// checkpoint images keep their byte layout.
 func (hb *heartbeatDriver) encodeState(enc *snapshot.Enc) {
-	enc.Bool(hb.ct != nil)
-	if hb.ct != nil {
-		id := make(map[*sim.CohortMember]int64, len(hb.handles))
-		for i, h := range hb.handles {
-			if m, ok := h.(*sim.CohortMember); ok {
-				id[m] = int64(i)
-			}
-		}
-		cohorts := hb.ct.Cohorts()
-		enc.U32(uint32(len(cohorts)))
-		for _, co := range cohorts {
-			co.EncodeState(enc, func(m *sim.CohortMember) int64 { return id[m] })
-		}
-		return
+	enc.Bool(true)
+	id := make(map[*sim.CohortMember]int64, len(hb.handles))
+	for i, m := range hb.handles {
+		id[m] = int64(i)
 	}
-	enc.U32(uint32(len(hb.tickers)))
-	for _, tk := range hb.tickers {
-		tk.EncodeState(enc)
+	cohorts := hb.ct.Cohorts()
+	enc.U32(uint32(len(cohorts)))
+	for _, co := range cohorts {
+		co.EncodeState(enc, func(m *sim.CohortMember) int64 { return id[m] })
 	}
 }
 
@@ -1135,41 +1128,25 @@ func (hb *heartbeatDriver) decodeState(d *snapshot.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if coalesced != (hb.ct != nil) {
-		return fmt.Errorf("mapreduce: heartbeat driver mode mismatch in state image")
+	if !coalesced {
+		return fmt.Errorf("mapreduce: state image holds per-node heartbeat tickers; only cohort heartbeats can be restored")
 	}
-	if coalesced {
-		cohorts := hb.ct.Cohorts()
-		n := int(d.U32())
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if n != len(cohorts) {
-			return fmt.Errorf("mapreduce: state image has %d heartbeat cohorts, run has %d", n, len(cohorts))
-		}
-		member := func(id int64) *sim.CohortMember {
-			if id < 0 || id >= int64(len(hb.handles)) {
-				return nil
-			}
-			m, _ := hb.handles[id].(*sim.CohortMember)
-			return m
-		}
-		for _, co := range cohorts {
-			if err := co.DecodeState(d, member); err != nil {
-				return err
-			}
-		}
-		return d.Err()
-	}
+	cohorts := hb.ct.Cohorts()
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != len(hb.tickers) {
-		return fmt.Errorf("mapreduce: state image has %d heartbeat tickers, run has %d", n, len(hb.tickers))
+	if n != len(cohorts) {
+		return fmt.Errorf("mapreduce: state image has %d heartbeat cohorts, run has %d", n, len(cohorts))
 	}
-	for _, tk := range hb.tickers {
-		if err := tk.DecodeState(d); err != nil {
+	member := func(id int64) *sim.CohortMember {
+		if id < 0 || id >= int64(len(hb.handles)) {
+			return nil
+		}
+		return hb.handles[id]
+	}
+	for _, co := range cohorts {
+		if err := co.DecodeState(d, member); err != nil {
 			return err
 		}
 	}

@@ -5,11 +5,10 @@ package runner
 import "syscall"
 
 // cpuSeconds returns the CPU time (user + system) this process has consumed
-// so far. The engine benchmark times its samples on deltas of this clock
+// so far. The scale benchmark times its samples on deltas of this clock
 // rather than wall time: on a shared host, involuntary preemption and
-// co-tenant steal show up in wall clock as multi-percent swings — larger
-// than the queue-cost difference the benchmark is trying to resolve — but
-// are invisible to CPU-time accounting.
+// co-tenant steal show up in wall clock as multi-percent swings, but are
+// invisible to CPU-time accounting.
 func cpuSeconds() float64 {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

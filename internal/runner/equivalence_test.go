@@ -75,183 +75,6 @@ func TestIndexedMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestCalendarMatchesHeapFullStack is the end-to-end determinism contract
-// of the calendar queue: a full cluster run — churn, chaos, invariant
-// checks, the works — executed on the calendar engine and on the legacy
-// heap engine must produce identical results and a byte-identical event
-// trace. The sim package's differential fuzz proves queue-level order
-// equivalence; this proves nothing above the engine observes a difference
-// either.
-func TestCalendarMatchesHeapFullStack(t *testing.T) {
-	profile := config.CCT()
-	profile.RackSize = 5
-	profile.ReplicationFactor = 2
-	for _, seed := range []uint64{7, 42} {
-		for _, arm := range []string{"plain", "churn", "chaos"} {
-			wl := truncate(workload.WL2(seed), 40)
-			span := wl.Jobs[len(wl.Jobs)-1].Arrival
-			opts := Options{
-				Profile:         profile,
-				Workload:        wl,
-				Scheduler:       "fair",
-				Policy:          PolicyFor(core.GreedyLRUPolicy),
-				Seed:            seed,
-				CheckInvariants: true,
-			}
-			switch arm {
-			case "churn":
-				spec := DefaultChurnSpec(span, profile.Slaves)
-				opts.Churn = &spec
-			case "chaos":
-				spec := DefaultChaosSpec(span)
-				opts.Chaos = &spec
-			}
-			cal, calLog := equivRun(t, opts)
-			opts.heapQueue = true
-			hp, hpLog := equivRun(t, opts)
-			if !reflect.DeepEqual(cal.Summary, hp.Summary) {
-				t.Errorf("%s seed %d: summaries diverge\ncalendar: %+v\nheap:     %+v",
-					arm, seed, cal.Summary, hp.Summary)
-			}
-			if !reflect.DeepEqual(cal.Results, hp.Results) {
-				t.Errorf("%s seed %d: per-job results diverge", arm, seed)
-			}
-			if cal.EventsProcessed != hp.EventsProcessed {
-				t.Errorf("%s seed %d: events processed diverge: %d vs %d",
-					arm, seed, cal.EventsProcessed, hp.EventsProcessed)
-			}
-			if !bytes.Equal(calLog, hpLog) {
-				t.Errorf("%s seed %d: event logs diverge", arm, seed)
-			}
-		}
-	}
-}
-
-// TestCohortMatchesPerNodeFullStack is the end-to-end determinism
-// contract of the coalesced heartbeat driver: a full cluster run — churn,
-// chaos, invariant checks, the works — with heartbeats driven by cohort
-// sweep events must produce identical results and a byte-identical event
-// trace to the same run driven by one ticker per node. The sim package's
-// cohort differentials prove ticker-level equivalence; this proves nothing
-// above the heartbeat driver observes a difference either. The cohort size
-// is forced to 4 because the auto scale would give singleton cohorts on a
-// 19-node cluster, making the sweep path trivially identical; the forced
-// size makes churn and chaos exercise real mid-cohort member splices
-// (Stop tombstones, Resume tail re-appends, flap rejoin ordering).
-//
-// The DARE announce/lazy-delete delays are set off the heartbeat grid.
-// Their defaults equal the heartbeat interval exactly, which parks
-// replica announcements (deferred from task launches, i.e. from grid
-// instants) precisely on the next grid instant — the one case where the
-// two drivers legitimately order differently: per-node mode interleaves
-// such an event between the member heartbeats of its cohort, cohort mode
-// fires it before the whole sweep (one engine event cannot split).
-// DESIGN.md §4g records this boundary; at the auto-scaled singleton size
-// production runs use on paper-scale clusters the case cannot arise, which
-// TestCohortMatchesPerNodeConfigs pins with the default delays.
-func TestCohortMatchesPerNodeFullStack(t *testing.T) {
-	profile := config.CCT()
-	profile.RackSize = 5
-	profile.ReplicationFactor = 2
-	policy := PolicyFor(core.GreedyLRUPolicy)
-	policy.AnnounceDelay = 0.13
-	policy.LazyDeleteDelay = 0.07
-	for _, seed := range []uint64{7, 42} {
-		for _, arm := range []string{"plain", "churn", "chaos"} {
-			wl := truncate(workload.WL2(seed), 40)
-			span := wl.Jobs[len(wl.Jobs)-1].Arrival
-			opts := Options{
-				Profile:         profile,
-				Workload:        wl,
-				Scheduler:       "fair",
-				Policy:          policy,
-				Seed:            seed,
-				CheckInvariants: true,
-				hbCohortSize:    4,
-			}
-			switch arm {
-			case "churn":
-				spec := DefaultChurnSpec(span, profile.Slaves)
-				opts.Churn = &spec
-			case "chaos":
-				spec := DefaultChaosSpec(span)
-				opts.Chaos = &spec
-			}
-			co, coLog := equivRun(t, opts)
-			opts.perNodeHeartbeats = true
-			pn, pnLog := equivRun(t, opts)
-			if !reflect.DeepEqual(co.Summary, pn.Summary) {
-				t.Errorf("%s seed %d: summaries diverge\ncohort:   %+v\nper-node: %+v",
-					arm, seed, co.Summary, pn.Summary)
-			}
-			if !reflect.DeepEqual(co.Results, pn.Results) {
-				t.Errorf("%s seed %d: per-job results diverge", arm, seed)
-			}
-			if !reflect.DeepEqual(co.FailureEvents, pn.FailureEvents) ||
-				!reflect.DeepEqual(co.RecoveryEvents, pn.RecoveryEvents) {
-				t.Errorf("%s seed %d: failure/recovery records diverge", arm, seed)
-			}
-			if !bytes.Equal(coLog, pnLog) {
-				t.Errorf("%s seed %d: event logs diverge", arm, seed)
-			}
-			// The coalescing must actually coalesce: with 4-member cohorts
-			// the run executes strictly fewer engine events, while the bus
-			// traffic above (compared byte for byte via the logs) is
-			// untouched.
-			if co.EventsProcessed >= pn.EventsProcessed {
-				t.Errorf("%s seed %d: cohort mode executed %d engine events, per-node %d — no coalescing",
-					arm, seed, co.EventsProcessed, pn.EventsProcessed)
-			}
-		}
-	}
-}
-
-// TestCohortMatchesPerNodeConfigs sweeps the dare-sim configuration matrix
-// — both testbeds, both schedulers, vanilla through Scarlett — in the
-// default auto-scaled mode, pinning that the production cohort driver (and
-// its singleton-cohort phase math) reproduces the historical per-node
-// ticker runs byte for byte on paper-scale clusters.
-func TestCohortMatchesPerNodeConfigs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run equivalence matrix")
-	}
-	configs := []struct {
-		name    string
-		profile func() *config.Profile
-		sched   string
-		policy  core.PolicyKind
-	}{
-		{"cct/fifo/vanilla", config.CCT, "fifo", core.NonePolicy},
-		{"cct/fifo/elephanttrap", config.CCT, "fifo", core.ElephantTrapPolicy},
-		{"cct/fair/lru", config.CCT, "fair", core.GreedyLRUPolicy},
-		{"ec2/fifo/lru", config.EC2, "fifo", core.GreedyLRUPolicy},
-		{"ec2/fair/elephanttrap", config.EC2, "fair", core.ElephantTrapPolicy},
-		{"cct/fair/scarlett", config.CCT, "fair", core.ScarlettPolicy},
-	}
-	for _, cfg := range configs {
-		const seed = 42
-		opts := Options{
-			Profile:   cfg.profile(),
-			Workload:  truncate(workload.WL1(seed), 40),
-			Scheduler: cfg.sched,
-			Policy:    PolicyFor(cfg.policy),
-			Seed:      seed,
-		}
-		co, coLog := equivRun(t, opts)
-		opts.perNodeHeartbeats = true
-		pn, pnLog := equivRun(t, opts)
-		if !reflect.DeepEqual(co.Summary, pn.Summary) {
-			t.Errorf("%s: summaries diverge\ncohort:   %+v\nper-node: %+v", cfg.name, co.Summary, pn.Summary)
-		}
-		if !reflect.DeepEqual(co.Results, pn.Results) {
-			t.Errorf("%s: per-job results diverge", cfg.name)
-		}
-		if !bytes.Equal(coLog, pnLog) {
-			t.Errorf("%s: event logs diverge", cfg.name)
-		}
-	}
-}
-
 // TestIndexedMatchesLinearScanUnderFailures drives the replica-removal
 // paths (node failure, repair re-replication) through both selection
 // paths: the index handles removals lazily, so this is where a staleness

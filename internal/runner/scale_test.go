@@ -1,49 +1,11 @@
 package runner
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"dare/internal/event"
 	"dare/internal/workload"
 )
-
-// TestScaleTraceEquivalence pins the scale benchmark's premise on a real
-// benchmark configuration: a 1000-node ScaleProfile run (auto cohort size
-// 7, genuine multi-member sweeps) must publish a byte-identical event
-// trace in cohort and per-node mode. The vanilla policy keeps every
-// deferred event off the heartbeat grid (no announce/lazy-delete delays),
-// so this holds with production defaults — any BusEventsPerSec difference
-// ScaleStudy reports is pure driver cost, not different work.
-func TestScaleTraceEquivalence(t *testing.T) {
-	const seed = 42
-	opts := Options{
-		Profile:   ScaleProfile(1000),
-		Workload:  truncate(workload.WL1(seed), 20),
-		Scheduler: "fifo",
-		Seed:      seed,
-	}
-	co, coLog := equivRun(t, opts)
-	opts.perNodeHeartbeats = true
-	pn, pnLog := equivRun(t, opts)
-	if !reflect.DeepEqual(co.Summary, pn.Summary) {
-		t.Errorf("summaries diverge\ncohort:   %+v\nper-node: %+v", co.Summary, pn.Summary)
-	}
-	if !bytes.Equal(coLog, pnLog) {
-		t.Error("event logs diverge between cohort and per-node mode at 1000 nodes")
-	}
-	if co.EventsProcessed >= pn.EventsProcessed {
-		t.Errorf("cohort mode executed %d engine events, per-node %d — no coalescing at 1000 nodes",
-			co.EventsProcessed, pn.EventsProcessed)
-	}
-	if co.EventCounts.Total() != pn.EventCounts.Total() {
-		t.Errorf("bus event totals diverge: %d vs %d", co.EventCounts.Total(), pn.EventCounts.Total())
-	}
-	if hb := co.EventCounts[event.Heartbeat]; hb == 0 {
-		t.Error("run published no heartbeats")
-	}
-}
 
 // TestScaleProfileValidates makes sure every ladder size builds a legal
 // profile (the benchmark would otherwise die mid-study).
@@ -55,17 +17,16 @@ func TestScaleProfileValidates(t *testing.T) {
 	}
 }
 
-// benchmarkScaleRun is the CI smoke body: one full 1000-node run per
+// BenchmarkScale1k is the CI smoke body: one full 1000-node run per
 // iteration keeps -benchtime 1x cheap while still exercising the whole
 // scale path (big-cluster construction, heartbeat driving, drain).
-func benchmarkScaleRun(b *testing.B, perNode bool) {
+func BenchmarkScale1k(b *testing.B) {
 	const seed = 42
 	opts := Options{
-		Profile:           ScaleProfile(1000),
-		Workload:          truncate(workload.WL1(seed), 20),
-		Scheduler:         "fifo",
-		Seed:              seed,
-		perNodeHeartbeats: perNode,
+		Profile:   ScaleProfile(1000),
+		Workload:  truncate(workload.WL1(seed), 20),
+		Scheduler: "fifo",
+		Seed:      seed,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -78,6 +39,3 @@ func benchmarkScaleRun(b *testing.B, perNode bool) {
 		}
 	}
 }
-
-func BenchmarkScaleCohort1k(b *testing.B)  { benchmarkScaleRun(b, false) }
-func BenchmarkScalePerNode1k(b *testing.B) { benchmarkScaleRun(b, true) }

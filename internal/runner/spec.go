@@ -50,12 +50,9 @@ type RunSpec struct {
 	TaskFailureProb       float64        `json:"taskFailureProb,omitempty"`
 	CheckInvariants       bool           `json:"checkInvariants,omitempty"`
 
-	// The unexported equivalence-testing knobs ride along so a resumed
+	// The unexported equivalence-testing knob rides along so a resumed
 	// run replays on the same code path it checkpointed on.
-	LinearScan        bool `json:"linearScan,omitempty"`
-	HeapQueue         bool `json:"heapQueue,omitempty"`
-	PerNodeHeartbeats bool `json:"perNodeHeartbeats,omitempty"`
-	HBCohortSize      int  `json:"hbCohortSize,omitempty"`
+	LinearScan bool `json:"linearScan,omitempty"`
 
 	// Stream, when non-nil, marks a service-mode run: the workload above
 	// holds only the file population and arrivals regenerate from this
@@ -115,9 +112,6 @@ func SpecFromOptions(opts Options) (*RunSpec, error) {
 		TaskFailureProb:       opts.TaskFailureProb,
 		CheckInvariants:       opts.CheckInvariants,
 		LinearScan:            opts.linearScan,
-		HeapQueue:             opts.heapQueue,
-		PerNodeHeartbeats:     opts.perNodeHeartbeats,
-		HBCohortSize:          opts.hbCohortSize,
 	}
 	if opts.PolicySet != nil {
 		s := opts.PolicySet.Spec
@@ -162,9 +156,6 @@ func (s *RunSpec) Options() (Options, error) {
 		TaskFailureProb:       s.TaskFailureProb,
 		CheckInvariants:       s.CheckInvariants,
 		linearScan:            s.LinearScan,
-		heapQueue:             s.HeapQueue,
-		perNodeHeartbeats:     s.PerNodeHeartbeats,
-		hbCohortSize:          s.HBCohortSize,
 	}
 	if s.PolicySpec != nil {
 		set, err := s.PolicySpec.Build()

@@ -2,19 +2,12 @@ package sim
 
 import "testing"
 
-// benchEngines runs a sub-benchmark against each queue implementation, so
-// every `go test -bench` run reports heap and calendar side by side.
+// benchEngines runs a sub-benchmark against the calendar queue and the
+// reference heap, so every `go test -bench` run reports both side by side.
 func benchEngines(b *testing.B, run func(b *testing.B, mk func() *Engine)) {
-	b.Run("calendar", func(b *testing.B) {
-		run(b, NewEngine)
-	})
-	b.Run("heap", func(b *testing.B) {
-		run(b, func() *Engine {
-			e := NewEngine()
-			e.SetHeapQueue(true)
-			return e
-		})
-	})
+	for _, kind := range queueKinds {
+		b.Run(kind.name, func(b *testing.B) { run(b, kind.mk) })
+	}
 }
 
 // BenchmarkScheduleRun measures the pending-set hot path: schedule and

@@ -8,8 +8,9 @@ import (
 // calendarQueue is a hierarchical calendar queue (R. Brown, CACM 1988; the
 // overflow tier follows the ladder-queue refinement) tuned for this
 // simulator's workload shape: a dense band of near-future events — the
-// de-synchronized per-node heartbeat tickers that dominate every run —
-// plus a thin far-future tail (job arrivals, churn and chaos schedules).
+// de-synchronized heartbeat cohort ticks and task completions that
+// dominate every run — plus a thin far-future tail (job arrivals, churn
+// and chaos schedules).
 //
 // Near-future events land in fixed-width time buckets covering one "year"
 // [yearStart, yearEnd); each bucket is kept sorted by (when, seq), so the
@@ -20,9 +21,10 @@ import (
 // halving with the width recomputed from the mean gap of the events at the
 // head) so occupancy stays near one event per bucket.
 //
-// Determinism: pop order is strict (when, seq) — bit-identical to the
-// binary heap — because bucket windows are disjoint and ascending, each
-// bucket is sorted, and the overflow tier is itself a (when, seq) heap.
+// Determinism: pop order is strict (when, seq) — bit-identical to a
+// binary heap (the test reference in heapqueue_test.go) — because bucket
+// windows are disjoint and ascending, each bucket is sorted, and the
+// overflow tier is itself a (when, seq) heap.
 type calendarQueue struct {
 	// now points at the engine clock. Every future push satisfies
 	// when >= *now, which is what lets rebase anchor the year low enough
@@ -506,5 +508,3 @@ func (q *calendarQueue) each(f func(*Event)) {
 		f(ev)
 	}
 }
-
-func (q *calendarQueue) kind() string { return "calendar" }

@@ -94,11 +94,7 @@ func opScript(e *Engine, seed int64, ops int) []firing {
 func TestDifferentialHeapVsCalendar(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		cal := NewEngine()
-		hp := NewEngine()
-		hp.SetHeapQueue(true)
-		if cal.QueueKind() != "calendar" || hp.QueueKind() != "heap" {
-			t.Fatalf("queue kinds: %s / %s", cal.QueueKind(), hp.QueueKind())
-		}
+		hp := newHeapEngine()
 		calFired := opScript(cal, seed, 400)
 		hpFired := opScript(hp, seed, 400)
 		if len(calFired) != len(hpFired) {
@@ -128,8 +124,7 @@ func FuzzQueueEquivalence(f *testing.F) {
 	f.Add(int64(-7))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		cal := NewEngine()
-		hp := NewEngine()
-		hp.SetHeapQueue(true)
+		hp := newHeapEngine()
 		calFired := opScript(cal, seed, 200)
 		hpFired := opScript(hp, seed, 200)
 		if len(calFired) != len(hpFired) {
@@ -154,8 +149,7 @@ func FuzzQueueEquivalence(f *testing.F) {
 // advances, firing it after later events (time runs backwards).
 func TestCalendarSkewRefitKeepsOrder(t *testing.T) {
 	cal := NewEngine()
-	hp := NewEngine()
-	hp.SetHeapQueue(true)
+	hp := newHeapEngine()
 	run := func(e *Engine) []Time {
 		var fired []Time
 		rec := func() { fired = append(fired, e.Now()) }
@@ -179,49 +173,6 @@ func TestCalendarSkewRefitKeepsOrder(t *testing.T) {
 		}
 		if i > 0 && calFired[i] < calFired[i-1] {
 			t.Fatalf("time went backwards: %v after %v", calFired[i], calFired[i-1])
-		}
-	}
-}
-
-// TestSetHeapQueueMigratesPending proves a mid-run queue switch preserves
-// the pending set: schedule (and cancel some) on one implementation,
-// switch, and the survivors must fire in the original order.
-func TestSetHeapQueueMigratesPending(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	var cancelMe *Event
-	for i := 0; i < 50; i++ {
-		i := i
-		ev := e.Schedule(float64((i*7)%13), func() { order = append(order, i) })
-		if i == 25 {
-			cancelMe = ev
-		}
-	}
-	e.Cancel(cancelMe)
-	e.SetHeapQueue(true)
-	if e.QueueKind() != "heap" {
-		t.Fatalf("queue kind %q after SetHeapQueue(true)", e.QueueKind())
-	}
-	e.RunUntil(5)
-	e.SetHeapQueue(false) // and back, mid-run
-	e.Run()
-	if len(order) != 49 {
-		t.Fatalf("fired %d events, want 49 (one canceled)", len(order))
-	}
-	// Survivors must have fired in (when, seq) order: re-derive expected.
-	ref := NewEngine()
-	var want []int
-	for i := 0; i < 50; i++ {
-		i := i
-		ev := ref.Schedule(float64((i*7)%13), func() { want = append(want, i) })
-		if i == 25 {
-			ref.Cancel(ev)
-		}
-	}
-	ref.Run()
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("migrated order diverges at %d: got %d want %d", i, order[i], want[i])
 		}
 	}
 }
@@ -280,9 +231,8 @@ func TestCalendarQueueResizeUnderLoad(t *testing.T) {
 // keeps; the threshold sweep must hold the queue near the live population
 // instead of retaining every canceled struct until its timestamp.
 func TestCompactionBoundsCanceledGarbage(t *testing.T) {
-	for _, heapQ := range []bool{false, true} {
-		e := NewEngine()
-		e.SetHeapQueue(heapQ)
+	for _, kind := range queueKinds {
+		e := kind.mk()
 		e.Schedule(1e6, func() {}) // one live far-future event
 		for i := 0; i < 10_000; i++ {
 			ev := e.Schedule(1e5+float64(i), func() { t.Fatal("canceled event fired") })
@@ -290,11 +240,11 @@ func TestCompactionBoundsCanceledGarbage(t *testing.T) {
 		}
 		if p := e.Pending(); p > 2*compactFloor {
 			t.Fatalf("%s: pending %d after 10k cancels, want <= %d",
-				e.QueueKind(), p, 2*compactFloor)
+				kind.name, p, 2*compactFloor)
 		}
 		e.Run()
 		if e.Processed() != 1 {
-			t.Fatalf("%s: processed %d, want 1", e.QueueKind(), e.Processed())
+			t.Fatalf("%s: processed %d, want 1", kind.name, e.Processed())
 		}
 	}
 }
@@ -305,9 +255,8 @@ func TestCompactionBoundsCanceledGarbage(t *testing.T) {
 // until its (period-distant) timestamp. 10k cycles must leave the pending
 // set bounded, on both queue implementations.
 func TestTickerFlapBoundsPending(t *testing.T) {
-	for _, heapQ := range []bool{false, true} {
-		e := NewEngine()
-		e.SetHeapQueue(heapQ)
+	for _, kind := range queueKinds {
+		e := kind.mk()
 		tk := NewTicker(e, 1000, func() {})
 		maxPending := 0
 		for i := 0; i < 10_000; i++ {
@@ -324,7 +273,7 @@ func TestTickerFlapBoundsPending(t *testing.T) {
 		}
 		if maxPending > 2*compactFloor {
 			t.Fatalf("%s: pending grew to %d across 10k start/stop cycles, want <= %d",
-				e.QueueKind(), maxPending, 2*compactFloor)
+				kind.name, maxPending, 2*compactFloor)
 		}
 	}
 }
@@ -375,7 +324,8 @@ func TestTickerStopStartWithinCallback(t *testing.T) {
 	}
 }
 
-// TestRescheduleContractPanics pins the misuse panics of the fast path.
+// TestRescheduleContractPanics pins the misuse panics of the fast path
+// (RescheduleAt).
 func TestRescheduleContractPanics(t *testing.T) {
 	t.Run("pending", func(t *testing.T) {
 		e := NewEngine()
@@ -385,7 +335,7 @@ func TestRescheduleContractPanics(t *testing.T) {
 				t.Fatal("expected panic rescheduling a pending event")
 			}
 		}()
-		e.Reschedule(ev, 2)
+		e.RescheduleAt(ev, 2)
 	})
 	t.Run("negative", func(t *testing.T) {
 		e := NewEngine()
@@ -393,10 +343,10 @@ func TestRescheduleContractPanics(t *testing.T) {
 		e.Run()
 		defer func() {
 			if recover() == nil {
-				t.Fatal("expected panic on negative delay")
+				t.Fatal("expected panic rescheduling before now")
 			}
 		}()
-		e.Reschedule(ev, -1)
+		e.RescheduleAt(ev, -1)
 	})
 	t.Run("nil", func(t *testing.T) {
 		e := NewEngine()
@@ -405,7 +355,7 @@ func TestRescheduleContractPanics(t *testing.T) {
 				t.Fatal("expected panic on nil event")
 			}
 		}()
-		e.Reschedule(nil, 1)
+		e.RescheduleAt(nil, 1)
 	})
 }
 

@@ -1,14 +1,16 @@
 package sim
 
+import "math"
+
 // CohortTicker coalesces many same-period periodic callbacks into one
-// engine event per cohort per period. Where N independent Tickers cost N
-// calendar-queue events every interval, a CohortTicker costs one per
+// engine event per cohort per period. Where N independent per-node tickers
+// cost N calendar-queue events every interval, a CohortTicker costs one per
 // cohort: the event fires and sweeps every live member's callback in
 // membership order. With heartbeats at ~83% of all bus events, this is
 // the difference between simulating 20k nodes and not.
 //
-// Equivalence to per-node tickers is exact, not approximate, under the
-// contract below. A cohort's members all share one phase offset, so their
+// Equivalence to per-node tickers (the Ticker reference in ticker_test.go)
+// is exact, not approximate, under the contract below. A cohort's members all share one phase offset, so their
 // per-node tickers would fire at identical instants anyway; the engine
 // breaks those ties by seq, which is activation order. The cohort sweep
 // reproduces that order directly:
@@ -245,4 +247,34 @@ func (co *Cohort) maybeCompact() {
 	}
 	co.members = live
 	co.dead = 0
+}
+
+// gridTime is the k-th tick instant of a grid rooted at anchor. It is the
+// single definition of "when does tick k fire" shared by CohortTicker and
+// the test-side Ticker reference: both compute anchor + period·k in this
+// exact expression, so the two schedules agree bit for bit.
+func gridTime(anchor, period Time, k uint64) Time {
+	return anchor + period*float64(k)
+}
+
+// nextGridIndex finds the smallest k ≥ 1 with gridTime(anchor, period, k)
+// strictly after now — the tick a resuming member must wait for. The
+// closed-form estimate is refined by short walks in both directions so
+// floating-point rounding in the division can never land a tick at or
+// before now, nor skip the first eligible instant.
+func nextGridIndex(anchor, period, now Time) uint64 {
+	var k uint64 = 1
+	if now > anchor+period {
+		k = uint64(math.Floor((now - anchor) / period))
+		if k < 1 {
+			k = 1
+		}
+	}
+	for k > 1 && gridTime(anchor, period, k-1) > now {
+		k--
+	}
+	for gridTime(anchor, period, k) <= now {
+		k++
+	}
+	return k
 }

@@ -146,9 +146,8 @@ func TestCohortMatchesPerNodeTickers(t *testing.T) {
 // engine's pending set (cohort events are cancelled eagerly and reused)
 // nor leak member slots (tombstone compaction reclaims them).
 func TestCohortFlapBoundsPending(t *testing.T) {
-	for _, heapQ := range []bool{false, true} {
-		e := NewEngine()
-		e.SetHeapQueue(heapQ)
+	for _, kind := range queueKinds {
+		e := kind.mk()
 		ct := NewCohortTicker(e, 1000)
 		co := ct.NewCohort(0)
 		m := co.Add(func() {})
@@ -175,14 +174,14 @@ func TestCohortFlapBoundsPending(t *testing.T) {
 		}
 		if maxPending > 2*compactFloor {
 			t.Fatalf("%s: pending grew to %d across 10k stop/resume cycles, want <= %d",
-				e.QueueKind(), maxPending, 2*compactFloor)
+				kind.name, maxPending, 2*compactFloor)
 		}
 		if maxSlots > 4*cohortCompactFloor {
 			t.Fatalf("%s: cohort slots grew to %d across 10k stop/resume cycles, want <= %d",
-				e.QueueKind(), maxSlots, 4*cohortCompactFloor)
+				kind.name, maxSlots, 4*cohortCompactFloor)
 		}
 		if !steady.Active() || co.active != 2 {
-			t.Fatalf("%s: cohort lost members: active=%d", e.QueueKind(), co.active)
+			t.Fatalf("%s: cohort lost members: active=%d", kind.name, co.active)
 		}
 	}
 }

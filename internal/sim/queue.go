@@ -1,14 +1,12 @@
 package sim
 
-import "container/heap"
-
 // pendingQueue is the pending-event set behind the engine. Implementations
 // must pop in strict (when, seq) order — earliest first, FIFO among equal
 // timestamps — because that order is the engine's determinism contract.
-// Two implementations exist: the calendar queue (default, amortized O(1)
-// for the simulator's dense near-future event band) and the legacy binary
-// heap (O(log n), kept runtime-selectable so differential tests can prove
-// the calendar queue fires the exact same schedule).
+// The engine runs on the calendar queue (amortized O(1) for the
+// simulator's dense near-future event band). The interface is the test
+// substitution point: the differential tests swap in a reference binary
+// heap (heapqueue_test.go) and prove both fire the exact same schedule.
 type pendingQueue interface {
 	// push inserts ev. The caller (the engine) has already marked it
 	// inQueue.
@@ -27,8 +25,6 @@ type pendingQueue interface {
 	// order; the caller must not mutate the queue during the walk. The
 	// checkpoint fingerprint sorts the visited (when, seq) pairs itself.
 	each(f func(*Event))
-	// kind names the implementation ("calendar" or "heap").
-	kind() string
 }
 
 // eventLess is the engine-wide ordering: by time, then FIFO by sequence
@@ -40,11 +36,8 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// ---------------------------------------------------------------------------
-// Legacy binary-heap queue
-
 // eventHeap orders by (when, seq): earliest first, FIFO among equal
-// timestamps.
+// timestamps. It is the calendar queue's far-future overflow tier.
 type eventHeap []*Event
 
 func (h eventHeap) Len() int           { return len(h) }
@@ -61,56 +54,3 @@ func (h *eventHeap) Pop() any {
 	*h = old[:n-1]
 	return ev
 }
-
-// heapQueue adapts eventHeap to the pendingQueue interface. It is the
-// original engine core, preserved behind SetHeapQueue for differential
-// testing and head-to-head benchmarking.
-type heapQueue struct {
-	h eventHeap
-}
-
-func newHeapQueue() *heapQueue { return &heapQueue{} }
-
-func (q *heapQueue) push(ev *Event) { heap.Push(&q.h, ev) }
-
-func (q *heapQueue) pop() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*Event)
-}
-
-func (q *heapQueue) peek() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
-func (q *heapQueue) compact() int {
-	kept := q.h[:0]
-	for _, ev := range q.h {
-		if ev.canceled {
-			ev.inQueue = false
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	removed := len(q.h) - len(kept)
-	for i := len(kept); i < len(q.h); i++ {
-		q.h[i] = nil
-	}
-	q.h = kept
-	heap.Init(&q.h)
-	return removed
-}
-
-func (q *heapQueue) each(f func(*Event)) {
-	for _, ev := range q.h {
-		f(ev)
-	}
-}
-
-func (q *heapQueue) kind() string { return "heap" }

@@ -29,16 +29,6 @@ func (e *Engine) AddState(t *snapshot.StateTable) {
 	t.AddHash("sim.pending.schedule", h)
 }
 
-// AddState folds a ticker's grid — anchor, period, next index, activity —
-// so a resumed run provably lands every future tick on the same instants.
-func (tk *Ticker) AddState(h *snapshot.Hash) {
-	h.F64(tk.anchor)
-	h.F64(tk.period)
-	h.U64(tk.next)
-	h.Bool(tk.active)
-	h.Bool(tk.started)
-}
-
 // AddState folds every cohort's grid and membership shape: anchor, next
 // index, live/tombstoned populations, and each slot's occupancy in sweep
 // order. Member callbacks themselves are closures (derived state,

@@ -21,7 +21,7 @@ import (
 //     seq references; restore keeps the reconstructed event and drops
 //     the rest (they already fired or were canceled in the original);
 //   - owned events (tag == Owned): skipped here; the owning component
-//     (Ticker, Cohort, the tracker's in-flight task records, the stream
+//     (Cohort, the tracker's in-flight task records, the stream
 //     driver) serializes the (when, seq) pair plus whatever context its
 //     closure needs, and re-enqueues at decode;
 //   - tagged events (any other tag): stored as (kind, when, seq,
@@ -240,36 +240,6 @@ func (e *Engine) FinishRestore() {
 		}
 	}
 	e.restoreMap = nil
-}
-
-// EncodeState serializes the ticker's grid position and pending tick.
-func (t *Ticker) EncodeState(enc *snapshot.Enc) {
-	enc.Bool(t.started)
-	enc.Bool(t.active)
-	enc.F64(t.anchor)
-	enc.U64(t.next)
-	if t.active {
-		// An active ticker always has its event pending; when is derived
-		// from the grid, so only the seq needs recording.
-		enc.U64(t.ev.seq)
-	}
-}
-
-// DecodeState restores the ticker's grid position and re-enqueues its
-// pending tick at exact coordinates.
-func (t *Ticker) DecodeState(dec *snapshot.Dec) error {
-	t.started = dec.Bool()
-	t.active = dec.Bool()
-	t.anchor = dec.F64()
-	t.next = dec.U64()
-	if t.active {
-		seq := dec.U64()
-		if t.ev == nil {
-			t.ev = t.eng.RestoreHandle(t.tick)
-		}
-		t.eng.RestoreAt(t.ev, gridTime(t.anchor, t.period, t.next), seq)
-	}
-	return dec.Err()
 }
 
 // EncodeState serializes one cohort: grid position, pending event, and

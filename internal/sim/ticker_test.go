@@ -1,24 +1,20 @@
 package sim
 
-import "math"
+import "dare/internal/snapshot"
 
-// Ticker fires a callback at a fixed period, modelling heartbeats (the DFS
-// data-node heartbeat, the MapReduce task-tracker heartbeat). A Ticker is
-// created stopped; call Start to begin.
+// Ticker fires one callback at a fixed period on its own engine event. It
+// is the per-callback reference the CohortTicker tests compare against:
+// the simulator drives heartbeats through cohorts, and a cohort member must
+// fire at exactly the instants, and in exactly the order, that an
+// independent Ticker with the cohort's phase would. A Ticker is created
+// stopped; call Start to begin.
 //
-// Tickers are the dominant event class of a run (~83% of all bus events in
-// BENCH_engine.json), so they ride the engine's fast path: each tick
-// re-enqueues its own event struct in place (Engine.RescheduleAt) instead
-// of allocating a fresh event, and a stopped ticker's canceled event is
-// reclaimed by the engine's compaction sweep rather than lingering until
-// its timestamp is reached.
-//
-// Tick times sit on an absolute grid: anchor + k·period for integer k ≥ 1,
-// where anchor is fixed at Start time (now + phase). Computing each tick
-// analytically rather than as now + period keeps long ticker streams free
-// of accumulated floating-point drift, which is what lets CohortTicker
-// fire many members from one shared event at bit-identical times to the
-// per-ticker schedule.
+// Each tick re-enqueues its own event struct in place
+// (Engine.RescheduleAt) instead of allocating a fresh event, and a stopped
+// ticker's canceled event is reclaimed by the engine's compaction sweep.
+// Tick times sit on the same absolute grid as a cohort's (gridTime,
+// nextGridIndex): anchor + k·period for integer k ≥ 1, where anchor is
+// fixed at Start time (now + phase).
 type Ticker struct {
 	eng    *Engine
 	period Time
@@ -40,36 +36,6 @@ func NewTicker(eng *Engine, period Time, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	return &Ticker{eng: eng, period: period, fn: fn}
-}
-
-// gridTime is the k-th tick instant of a grid rooted at anchor. It is the
-// single definition of "when does tick k fire" shared by Ticker and
-// CohortTicker: both compute anchor + period·k in this exact expression,
-// so the two schedules agree bit for bit.
-func gridTime(anchor, period Time, k uint64) Time {
-	return anchor + period*float64(k)
-}
-
-// nextGridIndex finds the smallest k ≥ 1 with gridTime(anchor, period, k)
-// strictly after now — the tick a resuming member must wait for. The
-// closed-form estimate is refined by short walks in both directions so
-// floating-point rounding in the division can never land a tick at or
-// before now, nor skip the first eligible instant.
-func nextGridIndex(anchor, period, now Time) uint64 {
-	var k uint64 = 1
-	if now > anchor+period {
-		k = uint64(math.Floor((now - anchor) / period))
-		if k < 1 {
-			k = 1
-		}
-	}
-	for k > 1 && gridTime(anchor, period, k-1) > now {
-		k--
-	}
-	for gridTime(anchor, period, k) <= now {
-		k++
-	}
-	return k
 }
 
 // Start begins ticking on a fresh grid anchored at now + phase; the first
@@ -141,4 +107,34 @@ func (t *Ticker) tick() {
 		t.next++
 		t.eng.RescheduleAt(t.ev, gridTime(t.anchor, t.period, t.next))
 	}
+}
+
+// EncodeState serializes the ticker's grid position and pending tick.
+func (t *Ticker) EncodeState(enc *snapshot.Enc) {
+	enc.Bool(t.started)
+	enc.Bool(t.active)
+	enc.F64(t.anchor)
+	enc.U64(t.next)
+	if t.active {
+		// An active ticker always has its event pending; when is derived
+		// from the grid, so only the seq needs recording.
+		enc.U64(t.ev.seq)
+	}
+}
+
+// DecodeState restores the ticker's grid position and re-enqueues its
+// pending tick at exact coordinates.
+func (t *Ticker) DecodeState(dec *snapshot.Dec) error {
+	t.started = dec.Bool()
+	t.active = dec.Bool()
+	t.anchor = dec.F64()
+	t.next = dec.U64()
+	if t.active {
+		seq := dec.U64()
+		if t.ev == nil {
+			t.ev = t.eng.RestoreHandle(t.tick)
+		}
+		t.eng.RestoreAt(t.ev, gridTime(t.anchor, t.period, t.next), seq)
+	}
+	return dec.Err()
 }
