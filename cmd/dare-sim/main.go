@@ -548,10 +548,11 @@ func openSuffixSink(path string, prefix int64) (*os.File, bool) {
 
 // runResumed continues a killed run from its checkpoint file. In state
 // mode the original sinks are truncated to the cut and the post-cut
-// suffix appended (O(state) restore); in replay mode — or when the
-// checkpoint carries no state image or a sink's prefix went missing — the
-// sinks are rewritten from genesis, byte-identically to an uninterrupted
-// run.
+// suffix appended (O(state) restore); in replay mode — or when a sink's
+// prefix went missing, so there is nothing to append to — the sinks are
+// rewritten from genesis, byte-identically to an uninterrupted run.
+// Either way the resumed run is verified against the checkpoint's state
+// image before it goes live.
 func runResumed(path string, stream bool, eventsPath, reportPath string, ck dare.CheckpointSpec, mode dare.ResumeMode) {
 	if ck.Path == "" {
 		ck.Path = path // keep checkpointing where we resumed from
@@ -560,7 +561,7 @@ func runResumed(path string, stream bool, eventsPath, reportPath string, ck dare
 	if err != nil {
 		fatal(err)
 	}
-	useState := mode == dare.ResumeState && info.StateResumable
+	useState := mode == dare.ResumeState
 	var eventsFile, reportFile *os.File
 	var eventLog, report io.Writer
 	if useState {

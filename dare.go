@@ -270,9 +270,9 @@ func Resume(path string, eventLog io.Writer, ck CheckpointSpec) (*Output, error)
 
 // ResumeMode selects the restore strategy: ResumeReplay re-executes the
 // event history from genesis to the cut (O(history)); ResumeState decodes
-// the checkpoint's direct state image (O(state)), falling back to replay
-// when the checkpoint carries no image. ResumeInfo describes a checkpoint
-// so a caller can prepare sinks before choosing (see InspectCheckpoint).
+// the checkpoint's direct state image (O(state)). Both verify the resumed
+// run against that image. ResumeInfo describes a checkpoint so a caller
+// can prepare sinks before choosing (see InspectCheckpoint).
 type (
 	ResumeMode = runner.ResumeMode
 	ResumeInfo = runner.ResumeInfo
@@ -288,8 +288,9 @@ const (
 func ParseResumeMode(s string) (ResumeMode, error) { return runner.ParseResumeMode(s) }
 
 // InspectCheckpoint loads the checkpoint at path and describes how it can
-// be resumed: batch or stream, state-resumable or replay-only, and the
-// output-stream byte positions at the cut.
+// be resumed: batch or stream, whether this build can decode its state
+// image, and the output-stream byte positions at the cut. A file without
+// its image is rejected with a format error naming the missing section.
 func InspectCheckpoint(path string) (*ResumeInfo, error) { return runner.InspectCheckpoint(path) }
 
 // ResumeWithMode is Resume with an explicit restore strategy. In state

@@ -145,10 +145,10 @@ func decodeStats(d *snapshot.Dec) PolicyStats {
 }
 
 // encodeRules writes the mutable state of a compiled rule set in the
-// fixed [Admit, Victim, Aged] order addRules fingerprints. Presence
-// flags guard against shape drift between encode- and decode-side
-// compilations (they are built from the same spec, so any mismatch is a
-// corrupt image, not a version skew).
+// fixed [Admit, Victim, Aged] order. Presence flags guard against shape
+// drift between encode- and decode-side compilations (they are built
+// from the same spec, so any mismatch is a corrupt image, not a version
+// skew).
 func encodeRules(e *snapshot.Enc, r policy.ReplicationRules) error {
 	for _, rule := range []policy.Rule{r.Admit, r.Victim, r.Aged} {
 		e.Bool(rule != nil)

@@ -12,9 +12,10 @@ import (
 // warming set, churn/down latches), the metadata journal with its rolling
 // checkpoint, the crash-time disk truth, and the placement RNG stream.
 // Derived structures (perNode mirrors, byte accounting, numBlocks) are
-// rebuilt on decode exactly as master recovery rebuilds them — the decode
-// path reuses the same canonical orders AddState fingerprints, so a
-// restored registry hashes identically to the live one it images.
+// rebuilt on decode exactly as master recovery rebuilds them. Files and
+// blocks are written in dense ID order and per-block locations
+// node-sorted, so a restored registry re-encodes to the bytes it was
+// decoded from.
 
 // encodeRegistry writes one registry's authoritative state: files and
 // blocks in dense ID order, per-block locations node-sorted with the

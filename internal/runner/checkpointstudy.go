@@ -224,7 +224,7 @@ func ResumeLadder(seed uint64) ([]ResumeLadderRow, error) {
 			Seed:      seed,
 		}
 	}
-	resume := func(path string, every uint64, mode ResumeMode) (float64, error) {
+	timeResume := func(path string, every uint64, mode ResumeMode) (float64, error) {
 		best := math.Inf(1)
 		for try := 0; try < 3; try++ {
 			work := filepath.Join(dir, fmt.Sprintf("work-%s.ckpt", mode))
@@ -276,18 +276,15 @@ func ResumeLadder(seed uint64) ([]ResumeLadderRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !hasStateImage(f, false) {
-				return nil, fmt.Errorf("runner: ladder checkpoint at jobs=%d pct=%d carries no state image", n, pct)
-			}
-			_, cur, _, err := decodeCheckpoint(f)
+			_, cur, err := decodeCheckpoint(f)
 			if err != nil {
 				return nil, err
 			}
-			replaySecs, err := resume(path, every, ResumeReplay)
+			replaySecs, err := timeResume(path, every, ResumeReplay)
 			if err != nil {
 				return nil, err
 			}
-			stateSecs, err := resume(path, every, ResumeState)
+			stateSecs, err := timeResume(path, every, ResumeState)
 			if err != nil {
 				return nil, err
 			}

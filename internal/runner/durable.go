@@ -1,28 +1,32 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"strings"
 	"sync/atomic"
 
 	"dare/internal/sim"
 	"dare/internal/snapshot"
+	"dare/internal/stats"
+	"dare/internal/workload"
 )
 
-// Checkpoint section IDs inside a snapshot.File.
+// Checkpoint section IDs inside a snapshot.File. A checkpoint is the
+// spec, the cursor, and the state image: one img.* section per layer,
+// each written by that layer's EncodeState. The image is both what a
+// state-mode resume decodes and what either resume mode verifies
+// against (see verifyImage).
 const (
 	sectionSpec   = "spec"   // RunSpec JSON — the run's serializable identity
 	sectionCursor = "cursor" // cursorRec JSON — where the run was cut
-	sectionState  = "state"  // snapshot.StateTable — the full-stack fingerprint
 
-	// Direct-state image sections (state-mode resume, O(state) restore).
-	// Absent on replay-only checkpoints: older files, runs whose pending
-	// set held an untaggable event, or an RNG backend without state access.
 	sectionImgEngine  = "img.engine"  // pending-event set (genesis refs + tagged records)
 	sectionImgDFS     = "img.dfs"     // name-node registry
 	sectionImgTracker = "img.tracker" // compute layer: jobs, slots, scheduler, in-flight tasks
@@ -30,6 +34,16 @@ const (
 	sectionImgStream  = "img.stream"  // service-mode generator cursor
 	sectionImgCounts  = "img.counts"  // bus event tallies at the cut
 )
+
+// imageSectionIDs lists the state-image sections a checkpoint must carry;
+// img.stream only for a service-mode run.
+func imageSectionIDs(stream bool) []string {
+	ids := []string{sectionImgEngine, sectionImgDFS, sectionImgTracker, sectionImgCore, sectionImgCounts}
+	if stream {
+		ids = append(ids, sectionImgStream)
+	}
+	return ids
+}
 
 // DefaultCheckpointEvery is the checkpoint cadence (in processed
 // simulation events) when CheckpointSpec.Every is unset.
@@ -68,10 +82,11 @@ func (c CheckpointSpec) every() uint64 {
 	return c.Every
 }
 
-// DivergenceError reports that a resumed run's replayed state does not
-// match the checkpoint it resumed from — determinism was broken between
-// the checkpointing build/config and the resuming one. Rows name the
-// layers that diverged (see snapshot.StateTable.Diff).
+// DivergenceError reports that a resumed run's state does not match the
+// checkpoint it resumed from — determinism was broken between the
+// checkpointing build/config and the resuming one. Rows name what
+// diverged: the engine clock, an output stream, or an img.* section (the
+// layer) with its first differing byte.
 type DivergenceError struct{ Rows []string }
 
 func (e *DivergenceError) Error() string {
@@ -139,18 +154,18 @@ type durable struct {
 	nextStop uint64
 	done     int // durable checkpoints written
 
-	// Resume state: non-nil until the replay reaches the recorded cut and
-	// verifies against it.
-	cut *resumeCut
+	// cut, on a replay resume, is the checkpoint to verify against once
+	// the replay reaches its cut; nil from then on.
+	cut *resumePoint
 
 	// watermark is the engine sequence at first drive entry — the genesis
 	// boundary for EncodePending. Events below it are recreated by
 	// deterministic reconstruction; events above must carry state tags.
 	watermark  uint64
 	wmCaptured bool
-	// restore, when non-nil, is a pending state-mode restore applied at
-	// first drive entry, before any event processes.
-	restore *stateRestore
+	// restore, on a state-mode resume, is the checkpoint whose image
+	// applyState decodes at first drive entry, before any event processes.
+	restore *resumePoint
 	// baseEvent/baseReport offset the output cursors on a state-mode
 	// resumed run: the sinks only receive post-cut bytes, but cursors must
 	// describe the full logical stream (prefix + suffix). A non-zero base
@@ -158,11 +173,18 @@ type durable struct {
 	// later resumes verify byte counts only.
 	baseEvent  int64
 	baseReport int64
+
+	// enc holds one encoder per image section, reused by every
+	// imageSections call so a run's checkpoints and resume checks
+	// allocate the image buffers once.
+	enc []*snapshot.Enc
 }
 
-type resumeCut struct {
+// resumePoint is the checkpoint a resume continues from: the cursor of
+// its cut and the file holding the stored state image.
+type resumePoint struct {
 	cursor cursorRec
-	table  *snapshot.StateTable
+	f      *snapshot.File
 }
 
 func (d *durable) drive(eng *sim.Engine, until float64) error {
@@ -232,22 +254,14 @@ func (d *durable) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	tab := &snapshot.StateTable{}
-	d.rs.addState(tab)
-	if d.stream != nil {
-		d.stream.addState(tab)
+	img, err := d.imageSections()
+	if err != nil {
+		return fmt.Errorf("runner: encoding checkpoint state image: %w", err)
 	}
-	f := &snapshot.File{Sections: []snapshot.Section{
+	f := &snapshot.File{Sections: append([]snapshot.Section{
 		{ID: sectionSpec, Data: d.specData},
 		{ID: sectionCursor, Data: curData},
-		{ID: sectionState, Data: tab.Encode()},
-	}}
-	// Best effort: a failure (untaggable pending event, RNG backend
-	// without state access) just omits the image sections, leaving a
-	// replay-only checkpoint — resume falls back automatically.
-	if img, err := d.imageSections(); err == nil {
-		f.Sections = append(f.Sections, img...)
-	}
+	}, img...)}
 	if err := snapshot.WriteFile(d.ck.Path, f); err != nil {
 		return fmt.Errorf("runner: writing checkpoint: %w", err)
 	}
@@ -288,9 +302,9 @@ func (d *durable) cursorNow() cursorRec {
 }
 
 // verifyCut proves the replayed run is the run that was checkpointed: the
-// full-stack state fingerprint and every output stream's byte/CRC position
-// must match what the checkpoint recorded at the same processed-event
-// count. Any mismatch is a DivergenceError naming the layer.
+// engine clock, every output stream's byte/CRC position and the state
+// image must match what the checkpoint recorded at the same
+// processed-event count. Any mismatch is a DivergenceError.
 func (d *durable) verifyCut() error {
 	if d.rs.rec != nil {
 		if err := d.rs.rec.Flush(); err != nil {
@@ -311,17 +325,132 @@ func (d *durable) verifyCut() error {
 	if d.rw != nil && (now.ReportBytes != want.ReportBytes || (want.ReportCRC != 0 && now.ReportCRC != want.ReportCRC)) {
 		rows = append(rows, fmt.Sprintf("stream report: got %d bytes crc %08x, checkpoint %d bytes crc %08x", now.ReportBytes, now.ReportCRC, want.ReportBytes, want.ReportCRC))
 	}
-	tab := &snapshot.StateTable{}
-	d.rs.addState(tab)
-	if d.stream != nil {
-		d.stream.addState(tab)
-	}
-	rows = append(rows, d.cut.table.Diff(tab)...)
+	rows = append(rows, d.verifyImage(d.cut.f)...)
 	if len(rows) > 0 {
 		return &DivergenceError{Rows: rows}
 	}
 	d.done = want.Checkpoints
 	return nil
+}
+
+// verifyImage is the resume verifier of both modes: it re-encodes the
+// live run's state image and compares each section with the bytes the
+// checkpoint stored. It returns one row per differing section, naming
+// the section (the layer) and the first differing byte.
+func (d *durable) verifyImage(f *snapshot.File) []string {
+	live, err := d.imageSections()
+	if err != nil {
+		return []string{fmt.Sprintf("re-encoding the state image: %v", err)}
+	}
+	var rows []string
+	for _, s := range live {
+		want, _ := f.Section(s.ID)
+		if bytes.Equal(s.Data, want) {
+			continue
+		}
+		at := min(len(s.Data), len(want))
+		for i := 0; i < at; i++ {
+			if s.Data[i] != want[i] {
+				at = i
+				break
+			}
+		}
+		rows = append(rows, fmt.Sprintf("%s: first difference at byte %d of %d", s.ID, at, len(want)))
+	}
+	return rows
+}
+
+// newDurable wires a run for the durable driver: the full stack from
+// opts and, when scfg is non-nil, the service-mode stream generator. The
+// event log and the stream report are wrapped in counting writers. With
+// restoring set, reconstruction-time events go to io.Discard: they are
+// the prefix the original process already wrote, and applyState arms
+// the real sink once the image is applied. A Path-armed spec needs RNG
+// stream state access, since every checkpoint carries the state image;
+// specData nil transcribes the spec from opts.
+func newDurable(opts Options, scfg *StreamRunSpec, report io.Writer, ck CheckpointSpec, specData []byte, restoring bool) (*durable, error) {
+	var src *workload.Stream
+	if scfg != nil {
+		if err := validateStreamOptions(opts, *scfg); err != nil {
+			return nil, err
+		}
+		src = workload.NewStream(workload.StreamConfig{
+			Gen:              scfg.Gen,
+			DiurnalAmplitude: scfg.DiurnalAmplitude,
+			DiurnalPeriod:    scfg.DiurnalPeriod,
+		})
+		opts.Workload = src.Workload()
+	}
+	if ck.Path != "" {
+		if !stats.StateSerializable() {
+			return nil, fmt.Errorf("runner: checkpoints carry RNG stream state, which this runtime does not expose")
+		}
+		if specData == nil {
+			spec, err := SpecFromOptions(opts)
+			if err != nil {
+				return nil, err
+			}
+			spec.Stream = scfg
+			if specData, err = encodeSpec(spec); err != nil {
+				return nil, err
+			}
+		}
+	}
+	d := &durable{ck: ck, specData: specData}
+	if opts.EventLog != nil {
+		d.cw = newCountingWriter(opts.EventLog)
+		opts.EventLog = d.cw
+		if restoring {
+			opts.EventLog = io.Discard
+		}
+	}
+	var reportW io.Writer
+	if report != nil {
+		d.rw = newCountingWriter(report)
+		reportW = d.rw
+	}
+	rs, err := newRunState(opts)
+	if err != nil {
+		return nil, err
+	}
+	d.rs = rs
+	if scfg != nil {
+		rs.tracker.SetStreaming(true)
+		d.stream = &streamDriver{spec: *scfg, src: src, rs: rs, report: reportW}
+	}
+	return d, nil
+}
+
+// startFresh arms a run that begins at genesis: checkpoints every
+// ck.Every events (none without a Path) and a live interrupt line.
+func (d *durable) startFresh() {
+	eng := d.rs.cluster.Eng
+	d.nextStop = math.MaxUint64
+	if d.ck.Path != "" {
+		d.nextStop = eng.Processed() + d.ck.every()
+	}
+	eng.SetInterrupt(d.ck.Interrupt)
+}
+
+// run primes the stream generator (service mode), drives the run to its
+// end and summarizes it.
+func (d *durable) run() (*Output, error) {
+	if d.stream != nil {
+		d.stream.prime()
+	}
+	results, err := d.rs.tracker.RunWith(d.drive)
+	if err != nil {
+		return nil, err
+	}
+	if d.stream != nil && d.stream.reportErr != nil {
+		return nil, d.stream.reportErr
+	}
+	if d.cut != nil {
+		return nil, &DivergenceError{Rows: []string{fmt.Sprintf(
+			"run completed at %d processed events, before the checkpoint cut at %d — the replay is not the run that was checkpointed",
+			d.rs.cluster.Eng.Processed(), d.cut.cursor.Processed)}}
+	}
+	return d.rs.finish(results)
 }
 
 // RunCheckpointed is Run with durable checkpoints every ck.Every processed
@@ -335,120 +464,109 @@ func RunCheckpointed(opts Options, ck CheckpointSpec) (*Output, error) {
 	if ck.Path == "" && ck.Interrupt == nil {
 		return nil, fmt.Errorf("runner: CheckpointSpec needs a Path (durable checkpoints) or an Interrupt line (clean-stop only)")
 	}
-	var specData []byte
-	if ck.Path != "" {
-		spec, err := SpecFromOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		if specData, err = encodeSpec(spec); err != nil {
-			return nil, err
-		}
-	}
-	var cw *countingWriter
-	if opts.EventLog != nil {
-		cw = newCountingWriter(opts.EventLog)
-		opts.EventLog = cw
-	}
-	rs, err := newRunState(opts)
+	d, err := newDurable(opts, nil, nil, ck, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	d := &durable{rs: rs, ck: ck, specData: specData, cw: cw}
-	d.nextStop = rs.cluster.Eng.Processed() + ck.every()
-	rs.cluster.Eng.SetInterrupt(ck.Interrupt)
-	results, err := rs.tracker.RunWith(d.drive)
-	if err != nil {
-		return nil, err
-	}
-	return rs.finish(results)
+	d.startFresh()
+	return d.run()
 }
 
-// Resume continues a run from the checkpoint at path (falling back to
-// path+".prev" when the primary is torn — a SIGKILL mid-write). The run is
-// rebuilt from the stored spec and replayed from genesis to the recorded
-// cut; the replayed state is verified against the checkpoint's fingerprint
-// (a mismatch is a DivergenceError), then the run continues live with the
-// same checkpoint cadence. eventLog, when non-nil, receives the complete
-// event trace from genesis — byte-identical to an uninterrupted run's —
-// and must be a fresh sink (the CLI re-opens the log file truncated).
+// Resume continues a batch run from the checkpoint at path (falling back
+// to path+".prev" when the primary is torn — a SIGKILL mid-write) by
+// replay: the run is rebuilt from the stored spec and replayed from
+// genesis to the recorded cut, where its re-encoded state image must
+// match the checkpoint's (a mismatch is a DivergenceError); then the run
+// continues live with the same checkpoint cadence. eventLog, when
+// non-nil, receives the complete event trace from genesis —
+// byte-identical to an uninterrupted run's — and must be a fresh sink
+// (the CLI re-opens the log file truncated).
 func Resume(path string, eventLog io.Writer, ck CheckpointSpec) (*Output, error) {
+	return resume(path, eventLog, nil, ck, ResumeReplay, false)
+}
+
+// resume is the one resume path behind Resume, ResumeWithMode,
+// ResumeStream and ResumeStreamWithMode. It loads the checkpoint at path,
+// checks that it holds the expected run shape and that the sinks can
+// reproduce the recorded outputs, rebuilds the run from the stored spec,
+// and sets up either a replay to the cut or a state restore. Both end in
+// verifyImage before the run goes live. The interrupt line stays unarmed
+// until then: a signal before the cut verifies must not write a
+// checkpoint generation that precedes the one being resumed.
+func resume(path string, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode, stream bool) (*Output, error) {
+	replay := mode == ResumeReplay || mode == ""
+	if !replay && mode != ResumeState {
+		return nil, fmt.Errorf("runner: unknown resume mode %q", mode)
+	}
 	if ck.Path == "" {
 		ck.Path = path
 	}
-	f, fromPrev, err := snapshot.LoadFile(path)
+	f, _, err := snapshot.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	_ = fromPrev
-	spec, cur, tab, err := decodeCheckpoint(f)
+	spec, cur, err := decodeCheckpoint(f)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Stream != nil {
+	switch {
+	case stream && spec.Stream == nil:
+		return nil, fmt.Errorf("runner: checkpoint %s holds a batch run; use Resume", path)
+	case !stream && spec.Stream != nil:
 		return nil, fmt.Errorf("runner: checkpoint %s holds a streaming run; use ResumeStream", path)
+	case eventLog == nil && cur.EventBytes > 0:
+		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink", cur.EventBytes)
+	case report == nil && cur.ReportBytes > 0:
+		return nil, fmt.Errorf("runner: checkpoint recorded a stream report (%d bytes at cut); resume needs the re-opened sink", cur.ReportBytes)
 	}
 	opts, err := spec.Options()
 	if err != nil {
 		return nil, err
 	}
-	var cw *countingWriter
-	if eventLog != nil {
-		cw = newCountingWriter(eventLog)
-		opts.EventLog = cw
-	} else if cur.EventBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink to reproduce it", cur.EventBytes)
+	opts.EventLog = eventLog
+	if stream {
+		opts.Workload = nil // rebuilt by the stream generator
 	}
-	rs, err := newRunState(opts)
+	d, err := newDurable(opts, spec.Stream, report, ck, mustSection(f, sectionSpec), !replay)
 	if err != nil {
 		return nil, err
 	}
-	d := &durable{
-		rs: rs, ck: ck, specData: mustSection(f, sectionSpec), cw: cw,
-		nextStop: cur.Processed,
-		cut:      &resumeCut{cursor: *cur, table: tab},
+	at := &resumePoint{cursor: *cur, f: f}
+	if replay {
+		d.cut = at
+		d.nextStop = cur.Processed
+	} else {
+		d.restore = at
+		d.baseEvent, d.baseReport = cur.EventBytes, cur.ReportBytes
 	}
-	// The interrupt line stays unarmed until the cut verifies: a signal
-	// during fast-forward must not write a checkpoint generation that
-	// precedes the one being resumed.
-	results, err := rs.tracker.RunWith(d.drive)
-	if err != nil {
-		return nil, err
-	}
-	if d.cut != nil {
-		return nil, &DivergenceError{Rows: []string{fmt.Sprintf(
-			"run completed at %d processed events, before the checkpoint cut at %d — the replay is not the run that was checkpointed",
-			rs.cluster.Eng.Processed(), cur.Processed)}}
-	}
-	return rs.finish(results)
+	return d.run()
 }
 
-func decodeCheckpoint(f *snapshot.File) (*RunSpec, *cursorRec, *snapshot.StateTable, error) {
+// decodeCheckpoint reads the spec and cursor of a checkpoint and checks
+// that it carries every state-image section its run shape needs.
+func decodeCheckpoint(f *snapshot.File) (*RunSpec, *cursorRec, error) {
 	specData, ok := f.Section(sectionSpec)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionSpec)
+		return nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionSpec)
 	}
 	spec, err := decodeSpec(specData)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	curData, ok := f.Section(sectionCursor)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionCursor)
+		return nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionCursor)
 	}
 	var cur cursorRec
 	if err := json.Unmarshal(curData, &cur); err != nil {
-		return nil, nil, nil, fmt.Errorf("runner: decoding checkpoint cursor: %w", err)
+		return nil, nil, fmt.Errorf("runner: decoding checkpoint cursor: %w", err)
 	}
-	stateData, ok := f.Section(sectionState)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, sectionState)
+	for _, id := range imageSectionIDs(spec.Stream != nil) {
+		if _, ok := f.Section(id); !ok {
+			return nil, nil, fmt.Errorf("%w: checkpoint has no %q section", snapshot.ErrFormat, id)
+		}
 	}
-	tab, err := snapshot.DecodeStateTable(stateData)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return spec, &cur, tab, nil
+	return spec, &cur, nil
 }
 
 func mustSection(f *snapshot.File, id string) []byte {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dare/internal/config"
@@ -193,20 +194,12 @@ func TestResumeFallsBackToPrev(t *testing.T) {
 	}
 }
 
-// TestResumeDetectsDivergence: a checkpoint whose spec was tampered with
-// (different seed — a stand-in for any determinism break between
-// checkpointing and resuming) must be rejected with a DivergenceError,
-// not silently produce a different run.
-func TestResumeDetectsDivergence(t *testing.T) {
-	sc := durableScenarios()[0]
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	hook, crashErr := crashAfter(2)
-	opts := sc.opts()
-	opts.EventLog = &bytes.Buffer{}
-	if _, err := RunCheckpointed(opts, CheckpointSpec{Path: path, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
-		t.Fatalf("expected simulated crash, got %v", err)
-	}
-
+// bumpSpecSeed raises the seed in the spec section of the checkpoint at
+// path by one and drops the .prev generation. The workload rides inline,
+// so only the cluster-side streams shift — the subtle kind of divergence
+// a resume must catch.
+func bumpSpecSeed(t *testing.T, path string) {
+	t.Helper()
 	f, _, err := snapshot.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -220,9 +213,6 @@ func TestResumeDetectsDivergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec.Seed++
-		// The workload rides inline, so only the cluster-side streams
-		// shift — exactly the subtle kind of divergence the fingerprint
-		// must catch.
 		data, err := encodeSpec(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -233,13 +223,42 @@ func TestResumeDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Remove(path + snapshot.PrevSuffix) // no good generation to fall back to
+}
 
-	var log bytes.Buffer
-	_, err = Resume(path, &log, CheckpointSpec{Path: path, Every: 300})
+// requireDivergence fails unless err is a DivergenceError with a row
+// naming a section that starts with prefix.
+func requireDivergence(t *testing.T, err error, prefix string) {
+	t.Helper()
 	var div *DivergenceError
 	if !errors.As(err, &div) {
 		t.Fatalf("expected DivergenceError, got %v", err)
 	}
+	for _, row := range div.Rows {
+		if strings.HasPrefix(row, prefix) {
+			return
+		}
+	}
+	t.Fatalf("no divergence row names a %q section: %v", prefix, div.Rows)
+}
+
+// TestResumeDetectsDivergence: a checkpoint whose spec was tampered with
+// (different seed — a stand-in for any determinism break between
+// checkpointing and resuming) must be rejected with a DivergenceError
+// naming an img.* section, not silently produce a different run.
+func TestResumeDetectsDivergence(t *testing.T) {
+	sc := durableScenarios()[0]
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	hook, crashErr := crashAfter(2)
+	opts := sc.opts()
+	opts.EventLog = &bytes.Buffer{}
+	if _, err := RunCheckpointed(opts, CheckpointSpec{Path: path, Every: 300, AfterCheckpoint: hook}); !errors.Is(err, crashErr) {
+		t.Fatalf("expected simulated crash, got %v", err)
+	}
+	bumpSpecSeed(t, path)
+
+	var log bytes.Buffer
+	_, err := Resume(path, &log, CheckpointSpec{Path: path, Every: 300})
+	requireDivergence(t, err, "img.")
 }
 
 // TestSpecRoundTrip: Options → RunSpec → JSON → RunSpec → Options must

@@ -1,6 +1,13 @@
 // Package runner wires the full stack together — cluster, DFS, workload,
 // scheduler, DARE manager — and exposes one-call experiment drivers for
 // every table and figure in the paper's evaluation (§V).
+//
+// It also makes runs durable (RunCheckpointed, RunStream, Resume and
+// friends). A checkpoint is the run's spec, a cursor naming the cut, and
+// one state image per layer. Resume rebuilds the run from the spec and
+// either replays it to the cut or decodes the images; in both modes the
+// live run is then re-encoded and must match the stored images byte for
+// byte, or the resume fails with a DivergenceError naming the section.
 package runner
 
 import (
@@ -18,7 +25,6 @@ import (
 	"dare/internal/mapreduce"
 	"dare/internal/metrics"
 	"dare/internal/scheduler"
-	"dare/internal/snapshot"
 	"dare/internal/stats"
 	"dare/internal/topology"
 	"dare/internal/workload"
@@ -504,23 +510,6 @@ func (rs *runState) finish(results []mapreduce.Result) (*Output, error) {
 		EventsProcessed:     cluster.Eng.Processed(),
 		EventCounts:         evCounts,
 	}, nil
-}
-
-// addState assembles the full-stack checkpoint fingerprint: every layer
-// folds its labeled state rows into one table (see DESIGN.md §4j). The
-// durable driver compares this table at the resume cut against the one
-// stored in the checkpoint; any differing row names the layer that
-// diverged.
-func (rs *runState) addState(t *snapshot.StateTable) {
-	rs.cluster.Eng.AddState(t)
-	rs.cluster.NN.AddState(t)
-	rs.tracker.AddState(t)
-	if rs.mgr != nil {
-		rs.mgr.AddState(t)
-	}
-	if rs.scar != nil {
-		rs.scar.AddState(t)
-	}
 }
 
 // PolicyFor builds the three evaluated policy configs by name, using the

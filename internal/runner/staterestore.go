@@ -9,7 +9,6 @@ import (
 	"dare/internal/sim"
 	"dare/internal/snapshot"
 	"dare/internal/stats"
-	"dare/internal/workload"
 )
 
 // ResumeMode selects how Resume/ResumeStream rebuild a run's mutable
@@ -18,14 +17,11 @@ type ResumeMode string
 
 const (
 	// ResumeReplay reconstructs the run from its spec and replays the
-	// event history from genesis to the cut — O(history). It is the
-	// differential oracle state-mode restores are verified against.
+	// event history from genesis to the cut — O(history).
 	ResumeReplay ResumeMode = "replay"
 	// ResumeState decodes the checkpoint's direct state image and
 	// re-enqueues the pending-event set — O(state), independent of how
-	// long the run had executed. Checkpoints without an image (older
-	// files, untaggable pending events, an RNG backend without stream
-	// state access) fall back to replay automatically.
+	// long the run had executed.
 	ResumeState ResumeMode = "state"
 )
 
@@ -61,8 +57,9 @@ func (streamWindowTag) EncodeTag(e *snapshot.Enc) {}
 type ResumeInfo struct {
 	// Stream reports a service-mode checkpoint (resume with ResumeStream).
 	Stream bool
-	// StateResumable reports that the checkpoint carries a direct state
-	// image this build can decode — ResumeState will not fall back.
+	// StateResumable reports that this build can decode the checkpoint's
+	// state image (every checkpoint carries one; decoding it needs RNG
+	// stream state access).
 	StateResumable bool
 	// EventBytes/ReportBytes are the output-stream byte positions at the
 	// cut (the prefix the original process had already written).
@@ -77,77 +74,60 @@ func InspectCheckpoint(path string) (*ResumeInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, cur, _, err := decodeCheckpoint(f)
+	spec, cur, err := decodeCheckpoint(f)
 	if err != nil {
 		return nil, err
 	}
-	stream := spec.Stream != nil
 	return &ResumeInfo{
-		Stream:         stream,
-		StateResumable: hasStateImage(f, stream) && stats.StateSerializable(),
+		Stream:         spec.Stream != nil,
+		StateResumable: stats.StateSerializable(),
 		EventBytes:     cur.EventBytes,
 		ReportBytes:    cur.ReportBytes,
 	}, nil
 }
 
-// stateRestore is a pending state-mode restore, applied by durable.drive
-// at first entry — after construction and genesis scheduling, before any
-// event processes.
-type stateRestore struct {
-	cursor cursorRec
-	table  *snapshot.StateTable
-	f      *snapshot.File
-}
-
-// hasStateImage reports whether the checkpoint carries every direct-state
-// section this run shape needs.
-func hasStateImage(f *snapshot.File, stream bool) bool {
-	ids := []string{sectionImgEngine, sectionImgDFS, sectionImgTracker, sectionImgCore, sectionImgCounts}
-	if stream {
-		ids = append(ids, sectionImgStream)
-	}
-	for _, id := range ids {
-		if _, ok := f.Section(id); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // imageSections encodes the direct state image of the live run: one
-// section per layer, each a self-contained byte string. Any layer that
-// cannot be serialized (an untagged pending event, an RNG backend without
-// stream state) fails the whole image; the caller then writes a
-// replay-only checkpoint.
+// section per layer, each a self-contained byte string. It is the only
+// walk over the run's state — checkpoint writes it, and verifyImage
+// re-encodes it to check a resume. Any layer that cannot be serialized
+// (an untagged pending event, an RNG backend without stream state) fails
+// the whole image. The section bytes live in d.enc and are valid until
+// the next call: both callers are done with them by then (written to the
+// file, or compared).
 func (d *durable) imageSections() ([]snapshot.Section, error) {
-	if !stats.StateSerializable() {
-		return nil, fmt.Errorf("runner: RNG backend does not expose stream state")
-	}
 	rs := d.rs
 	var out []snapshot.Section
 	add := func(id string, enc *snapshot.Enc) {
 		out = append(out, snapshot.Section{ID: id, Data: enc.Data()})
 	}
+	next := func() *snapshot.Enc {
+		if len(out) == len(d.enc) {
+			d.enc = append(d.enc, snapshot.NewEnc())
+		}
+		enc := d.enc[len(out)]
+		enc.Reset()
+		return enc
+	}
 
-	enc := snapshot.NewEnc()
+	enc := next()
 	if err := rs.cluster.Eng.EncodePending(enc, d.watermark); err != nil {
 		return nil, err
 	}
 	add(sectionImgEngine, enc)
 
-	enc = snapshot.NewEnc()
+	enc = next()
 	if err := rs.cluster.NN.EncodeState(enc); err != nil {
 		return nil, err
 	}
 	add(sectionImgDFS, enc)
 
-	enc = snapshot.NewEnc()
+	enc = next()
 	if err := rs.tracker.EncodeState(enc); err != nil {
 		return nil, err
 	}
 	add(sectionImgTracker, enc)
 
-	enc = snapshot.NewEnc()
+	enc = next()
 	enc.Bool(rs.mgr != nil)
 	if rs.mgr != nil {
 		if err := rs.mgr.EncodeState(enc); err != nil {
@@ -163,7 +143,7 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 	add(sectionImgCore, enc)
 
 	if d.stream != nil {
-		enc = snapshot.NewEnc()
+		enc = next()
 		enc.Int(d.stream.nextWindow)
 		if err := d.stream.src.EncodeState(enc); err != nil {
 			return nil, err
@@ -171,7 +151,7 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 		add(sectionImgStream, enc)
 	}
 
-	enc = snapshot.NewEnc()
+	enc = next()
 	counts := rs.counter.Counts()
 	enc.U32(uint32(len(counts)))
 	for _, v := range counts {
@@ -184,7 +164,7 @@ func (d *durable) imageSections() ([]snapshot.Section, error) {
 // applyState performs the O(state) restore against the freshly
 // reconstructed run: jump the engine to the cut, decode each layer's
 // image, re-enqueue the pending-event set, then prove the decoded state
-// reproduces the checkpoint's fingerprint before the run goes live.
+// re-encodes to the stored image before the run goes live.
 func (d *durable) applyState() error {
 	r := d.restore
 	d.restore = nil
@@ -192,14 +172,13 @@ func (d *durable) applyState() error {
 	eng := rs.cluster.Eng
 	cur := r.cursor
 
-	section := func(id string) (*snapshot.Dec, error) {
-		data, ok := r.f.Section(id)
-		if !ok {
-			return nil, fmt.Errorf("%w: checkpoint image lost section %q", snapshot.ErrFormat, id)
+	// decode runs one layer's decoder over its image section, which it
+	// must consume exactly.
+	decode := func(id, what string, fn func(*snapshot.Dec) error) error {
+		dec := snapshot.NewDec(mustSection(r.f, id))
+		if err := fn(dec); err != nil {
+			return fmt.Errorf("runner: restoring %s: %w", what, err)
 		}
-		return snapshot.NewDec(data), nil
-	}
-	finish := func(id string, dec *snapshot.Dec) error {
 		if err := dec.Finish(); err != nil {
 			return fmt.Errorf("runner: checkpoint section %q: %w", id, err)
 		}
@@ -207,91 +186,56 @@ func (d *durable) applyState() error {
 	}
 
 	eng.BeginRestore(cur.Now, cur.Seq, cur.Processed)
-
-	dec, err := section(sectionImgDFS)
-	if err != nil {
+	if err := decode(sectionImgDFS, "DFS state", rs.cluster.NN.DecodeState); err != nil {
 		return err
 	}
-	if err := rs.cluster.NN.DecodeState(dec); err != nil {
-		return fmt.Errorf("runner: restoring DFS state: %w", err)
-	}
-	if err := finish(sectionImgDFS, dec); err != nil {
+	if err := decode(sectionImgTracker, "tracker state", rs.tracker.DecodeState); err != nil {
 		return err
 	}
-
-	dec, err = section(sectionImgTracker)
-	if err != nil {
-		return err
-	}
-	if err := rs.tracker.DecodeState(dec); err != nil {
-		return fmt.Errorf("runner: restoring tracker state: %w", err)
-	}
-	if err := finish(sectionImgTracker, dec); err != nil {
-		return err
-	}
-
-	dec, err = section(sectionImgCore)
-	if err != nil {
-		return err
-	}
-	if hasMgr := dec.Bool(); hasMgr != (rs.mgr != nil) {
-		return fmt.Errorf("runner: checkpoint image and rebuilt run disagree on the DARE manager (image %v, run %v)", hasMgr, rs.mgr != nil)
-	}
-	if rs.mgr != nil {
-		if err := rs.mgr.DecodeState(dec); err != nil {
-			return fmt.Errorf("runner: restoring policy state: %w", err)
+	if err := decode(sectionImgCore, "policy state", func(dec *snapshot.Dec) error {
+		if hasMgr := dec.Bool(); hasMgr != (rs.mgr != nil) {
+			return fmt.Errorf("checkpoint image and rebuilt run disagree on the DARE manager (image %v, run %v)", hasMgr, rs.mgr != nil)
 		}
-	}
-	if hasScar := dec.Bool(); hasScar != (rs.scar != nil) {
-		return fmt.Errorf("runner: checkpoint image and rebuilt run disagree on the Scarlett controller (image %v, run %v)", hasScar, rs.scar != nil)
-	}
-	if rs.scar != nil {
-		if err := rs.scar.DecodeState(dec); err != nil {
-			return fmt.Errorf("runner: restoring Scarlett state: %w", err)
+		if rs.mgr != nil {
+			if err := rs.mgr.DecodeState(dec); err != nil {
+				return err
+			}
 		}
-	}
-	if err := finish(sectionImgCore, dec); err != nil {
+		if hasScar := dec.Bool(); hasScar != (rs.scar != nil) {
+			return fmt.Errorf("checkpoint image and rebuilt run disagree on the Scarlett controller (image %v, run %v)", hasScar, rs.scar != nil)
+		}
+		if rs.scar != nil {
+			return rs.scar.DecodeState(dec)
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
-
 	if d.stream != nil {
-		dec, err = section(sectionImgStream)
-		if err != nil {
-			return err
-		}
-		d.stream.nextWindow = dec.Int()
-		if err := d.stream.src.DecodeState(dec); err != nil {
-			return fmt.Errorf("runner: restoring stream generator: %w", err)
-		}
-		if err := finish(sectionImgStream, dec); err != nil {
+		if err := decode(sectionImgStream, "stream generator", func(dec *snapshot.Dec) error {
+			d.stream.nextWindow = dec.Int()
+			return d.stream.src.DecodeState(dec)
+		}); err != nil {
 			return err
 		}
 	}
-
-	dec, err = section(sectionImgEngine)
-	if err != nil {
-		return err
-	}
-	if err := eng.DecodePending(dec, d.restoreEvent); err != nil {
-		return fmt.Errorf("runner: restoring pending events: %w", err)
-	}
-	if err := finish(sectionImgEngine, dec); err != nil {
+	if err := decode(sectionImgEngine, "pending events", func(dec *snapshot.Dec) error {
+		return eng.DecodePending(dec, d.restoreEvent)
+	}); err != nil {
 		return err
 	}
 	eng.FinishRestore()
 
-	dec, err = section(sectionImgCounts)
-	if err != nil {
-		return err
-	}
 	var counts event.Counts
-	if n := int(dec.U32()); n != len(counts) {
-		return fmt.Errorf("runner: checkpoint image counts %d event kinds, this build has %d", n, len(counts))
-	}
-	for i := range counts {
-		counts[i] = dec.U64()
-	}
-	if err := finish(sectionImgCounts, dec); err != nil {
+	if err := decode(sectionImgCounts, "event counts", func(dec *snapshot.Dec) error {
+		if n := int(dec.U32()); n != len(counts) {
+			return fmt.Errorf("checkpoint image counts %d event kinds, this build has %d", n, len(counts))
+		}
+		for i := range counts {
+			counts[i] = dec.U64()
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
 	rs.counter.RestoreCounts(counts)
@@ -305,15 +249,7 @@ func (d *durable) applyState() error {
 		}
 	}
 
-	// The decoded state must reproduce the fingerprint captured when the
-	// checkpoint was written — same oracle the replay path verifies
-	// against, so both modes prove identity to the original run.
-	tab := &snapshot.StateTable{}
-	rs.addState(tab)
-	if d.stream != nil {
-		d.stream.addState(tab)
-	}
-	if rows := r.table.Diff(tab); len(rows) > 0 {
+	if rows := d.verifyImage(r.f); len(rows) > 0 {
 		return &DivergenceError{Rows: rows}
 	}
 
@@ -369,140 +305,14 @@ func (d *durable) restoreEvent(kind uint16, when sim.Time, seq uint64, payload *
 // truncates to the cut instead of from zero); in replay mode it receives
 // the complete trace from genesis, exactly like Resume.
 func ResumeWithMode(path string, eventLog io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
-	switch mode {
-	case ResumeReplay, "":
-		return Resume(path, eventLog, ck)
-	case ResumeState:
-	default:
-		return nil, fmt.Errorf("runner: unknown resume mode %q", mode)
-	}
-	if ck.Path == "" {
-		ck.Path = path
-	}
-	f, _, err := snapshot.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	spec, cur, tab, err := decodeCheckpoint(f)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Stream != nil {
-		return nil, fmt.Errorf("runner: checkpoint %s holds a streaming run; use ResumeStream", path)
-	}
-	if !hasStateImage(f, false) || !stats.StateSerializable() {
-		// Replay-only checkpoint (older file, untaggable event at the cut,
-		// or no RNG stream access in this build): fall back to the oracle.
-		return Resume(path, eventLog, ck)
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		return nil, err
-	}
-	var cw *countingWriter
-	if eventLog != nil {
-		cw = newCountingWriter(eventLog)
-		// Reconstruction republishes genesis placements; discard them — the
-		// real sink is armed after the image is applied.
-		opts.EventLog = io.Discard
-	} else if cur.EventBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink to continue it", cur.EventBytes)
-	}
-	rs, err := newRunState(opts)
-	if err != nil {
-		return nil, err
-	}
-	d := &durable{
-		rs: rs, ck: ck, specData: mustSection(f, sectionSpec), cw: cw,
-		baseEvent: cur.EventBytes,
-		restore:   &stateRestore{cursor: *cur, table: tab, f: f},
-	}
-	results, err := rs.tracker.RunWith(d.drive)
-	if err != nil {
-		return nil, err
-	}
-	return rs.finish(results)
+	return resume(path, eventLog, nil, ck, mode, false)
 }
 
 // ResumeStreamWithMode is ResumeStream with an explicit restore strategy;
 // in state mode eventLog and report receive only the post-cut suffix of
-// each stream.
+// each stream. No pre-cut report lines are emitted in state mode (they
+// fire only from window boundaries, which are all post-cut), so the
+// report sink needs no throwaway phase.
 func ResumeStreamWithMode(path string, eventLog, report io.Writer, ck CheckpointSpec, mode ResumeMode) (*Output, error) {
-	switch mode {
-	case ResumeReplay, "":
-		return ResumeStream(path, eventLog, report, ck)
-	case ResumeState:
-	default:
-		return nil, fmt.Errorf("runner: unknown resume mode %q", mode)
-	}
-	if ck.Path == "" {
-		ck.Path = path
-	}
-	f, _, err := snapshot.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	spec, cur, tab, err := decodeCheckpoint(f)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Stream == nil {
-		return nil, fmt.Errorf("runner: checkpoint %s holds a batch run; use Resume", path)
-	}
-	if !hasStateImage(f, true) || !stats.StateSerializable() {
-		return ResumeStream(path, eventLog, report, ck)
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		return nil, err
-	}
-	opts.Workload = nil // rebuilt by the stream generator
-	scfg := *spec.Stream
-	var cw, rw *countingWriter
-	if eventLog != nil {
-		cw = newCountingWriter(eventLog)
-		opts.EventLog = io.Discard
-	} else if cur.EventBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink to continue it", cur.EventBytes)
-	}
-	if report == nil && cur.ReportBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded a stream report (%d bytes at cut); resume needs the re-opened sink to continue it", cur.ReportBytes)
-	}
-	if err := validateStreamOptions(opts, scfg); err != nil {
-		return nil, err
-	}
-	src := workload.NewStream(workload.StreamConfig{
-		Gen:              scfg.Gen,
-		DiurnalAmplitude: scfg.DiurnalAmplitude,
-		DiurnalPeriod:    scfg.DiurnalPeriod,
-	})
-	opts.Workload = src.Workload()
-	var reportW io.Writer
-	if report != nil {
-		// No pre-cut report lines are emitted in state mode (emitReport only
-		// fires from window boundaries, which are all post-cut), so the
-		// counting wrapper feeds the real sink directly.
-		rw = newCountingWriter(report)
-		reportW = rw
-	}
-	rs, err := newRunState(opts)
-	if err != nil {
-		return nil, err
-	}
-	rs.tracker.SetStreaming(true)
-	sd := &streamDriver{spec: scfg, src: src, rs: rs, report: reportW}
-	d := &durable{
-		rs: rs, ck: ck, specData: mustSection(f, sectionSpec), cw: cw, rw: rw, stream: sd,
-		baseEvent: cur.EventBytes, baseReport: cur.ReportBytes,
-		restore: &stateRestore{cursor: *cur, table: tab, f: f},
-	}
-	sd.prime()
-	results, err := rs.tracker.RunWith(d.drive)
-	if err != nil {
-		return nil, err
-	}
-	if sd.reportErr != nil {
-		return nil, sd.reportErr
-	}
-	return rs.finish(results)
+	return resume(path, eventLog, report, ck, mode, true)
 }

@@ -15,11 +15,25 @@ import (
 	"dare/internal/workload"
 )
 
-// stateScenarios extends the crash-resume scenario set with a failover
-// run (master outages exercise the journal/blame state and the outage
-// retry tags) — every family a state image must cover.
+// stateScenarios extends the crash-resume scenario set with a gray-failure
+// run (degradation episodes long enough to span checkpoints, so slow and
+// disk-slow factors are live state at a cut) and a failover run (master
+// outages exercise the journal/blame state and the outage retry tags) —
+// every family a state image must cover.
 func stateScenarios() []durableScenario {
 	return append(durableScenarios(), durableScenario{
+		name: "gray-lfu-fair",
+		opts: func() Options {
+			return Options{
+				Profile:   config.CCT(),
+				Workload:  truncate(workload.WL2(23), 30),
+				Scheduler: "fair",
+				Policy:    PolicyFor(core.GreedyLFUPolicy),
+				Seed:      23,
+				Chaos:     &ChaosSpec{Events: 8, Horizon: 10, CrashWeight: -1, SlowWeight: 3, CorruptWeight: 1, FlapWeight: -1, SlowMean: 15, SlowFactorMax: 4},
+			}
+		},
+	}, durableScenario{
 		name: "failover-et-fifo",
 		opts: func() Options {
 			return Options{
@@ -37,10 +51,8 @@ func stateScenarios() []durableScenario {
 	})
 }
 
-// crashForState runs opts checkpointed until the simulated crash and
-// returns the checkpoint path plus the dead process's partial event log.
-// It fails the test if the surviving checkpoint carries no state image —
-// these tests must exercise the O(state) path, not the replay fallback.
+// crashForState runs opts checkpointed until the simulated crash at the
+// second checkpoint and returns the dead process's partial event log.
 func crashForState(t *testing.T, opts Options, path string) []byte {
 	t.Helper()
 	hook, crashErr := crashAfter(2)
@@ -49,13 +61,6 @@ func crashForState(t *testing.T, opts Options, path string) []byte {
 	_, err := RunCheckpointed(opts, CheckpointSpec{Path: path, Every: 300, AfterCheckpoint: hook})
 	if !errors.Is(err, crashErr) {
 		t.Fatalf("expected simulated crash, got %v", err)
-	}
-	f, _, err := snapshot.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasStateImage(f, false) {
-		t.Fatal("checkpoint carries no state image; the state-mode path would silently fall back to replay")
 	}
 	return partial.Bytes()
 }
@@ -169,10 +174,13 @@ func TestStateResumeStreamDifferential(t *testing.T) {
 	}
 }
 
-// stripImageSections rewrites the checkpoint at path without its direct
-// state image, leaving a replay-only file (what an older build writes).
-func stripImageSections(t *testing.T, path string) {
-	t.Helper()
+// TestStrippedImageRejected: the state image is mandatory. A checkpoint
+// without its img.* sections (what a build that wrote replay-only files
+// left behind) is refused with ErrFormat naming the missing section, by
+// InspectCheckpoint and by both resume modes — no silent downgrade.
+func TestStrippedImageRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	crashForState(t, durableScenarios()[0].opts(), path)
 	f, _, err := snapshot.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -187,38 +195,101 @@ func stripImageSections(t *testing.T, path string) {
 	if err := snapshot.WriteFile(path, f); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(path + snapshot.PrevSuffix)
+	os.Remove(path + snapshot.PrevSuffix) // no good generation to fall back to
+
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), sectionImgEngine) {
+			t.Errorf("%s: got %v, want ErrFormat naming %q", what, err, sectionImgEngine)
+		}
+	}
+	_, err = InspectCheckpoint(path)
+	check("InspectCheckpoint", err)
+	for _, mode := range []ResumeMode{ResumeState, ResumeReplay} {
+		_, err = ResumeWithMode(path, &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 300}, mode)
+		check(fmt.Sprintf("ResumeWithMode(%s)", mode), err)
+	}
 }
 
-// TestStateResumeFallsBackToReplay: asked for state mode against a
-// replay-only checkpoint, resume silently downgrades to the replay oracle
-// and still reproduces the uninterrupted run (with the full from-genesis
-// trace, since no prefix can be continued).
-func TestStateResumeFallsBackToReplay(t *testing.T) {
-	sc := durableScenarios()[0]
-	wantOut, wantLog := runBaseline(t, sc.opts())
+// TestStateImageIsComplete: no layer may keep state its image leaves out.
+// For every scenario and every checkpoint generation k of an
+// uninterrupted run, a state-resume of generation k must write a
+// generation k+1 whose image is byte-identical to the uninterrupted
+// run's — a field an encoder forgot would be lost at the restore and
+// drift the resumed run away before the next checkpoint.
+func TestStateImageIsComplete(t *testing.T) {
+	stop := errors.New("stop after the next generation")
+	for _, sc := range stateScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "run.ckpt")
+			var gens [][]byte // gens[k-1] is the bytes of generation k
+			_, err := RunCheckpointed(sc.opts(), CheckpointSpec{Path: path, Every: 300, AfterCheckpoint: func(int) error {
+				b, err := os.ReadFile(path)
+				gens = append(gens, b)
+				return err
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gens) < 2 {
+				t.Fatalf("run wrote %d checkpoints, need at least 2", len(gens))
+			}
+			for k := 1; k < len(gens); k++ {
+				work := filepath.Join(dir, fmt.Sprintf("gen%d.ckpt", k))
+				if err := os.WriteFile(work, gens[k-1], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var next []byte
+				_, err := ResumeWithMode(work, nil, CheckpointSpec{Path: work, Every: 300, AfterCheckpoint: func(n int) error {
+					if n != k+1 {
+						return fmt.Errorf("resumed run wrote generation %d, want %d", n, k+1)
+					}
+					b, err := os.ReadFile(work)
+					if err != nil {
+						return err
+					}
+					next = b
+					return stop
+				}}, ResumeState)
+				if !errors.Is(err, stop) {
+					t.Fatalf("generation %d: state resume: %v", k, err)
+				}
+				got, err := snapshot.Decode(bytes.NewReader(next))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := snapshot.Decode(bytes.NewReader(gens[k]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range imageSectionIDs(false) {
+					g, _ := got.Section(id)
+					w, _ := want.Section(id)
+					if !bytes.Equal(g, w) {
+						t.Errorf("generation %d resumed by state: its generation %d %s differs from the uninterrupted run's (%d vs %d bytes)", k, k+1, id, len(g), len(w))
+					}
+				}
+			}
+		})
+	}
+}
 
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	crashForState(t, sc.opts(), path)
-	stripImageSections(t, path)
-	info, err := InspectCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.StateResumable {
-		t.Fatal("stripped checkpoint still reports a state image")
-	}
-
-	var log bytes.Buffer
-	out, err := ResumeWithMode(path, &log, CheckpointSpec{Path: path, Every: 300}, ResumeState)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := outputJSON(t, out); !bytes.Equal(got, wantOut) {
-		t.Error("fallback resume output diverges from uninterrupted run")
-	}
-	if !bytes.Equal(log.Bytes(), wantLog) {
-		t.Error("fallback resume event trace diverges (expected full from-genesis log)")
+// TestStateResumeDetectsDivergence is the state-mode twin of
+// TestResumeDetectsDivergence: with the spec's seed changed, the decoded
+// image lands on a reconstruction whose genesis events (churn and chaos
+// injections) fire at other times. Only the engine image's genesis
+// (seq, when) references can see that; the resume must fail with a
+// DivergenceError naming img.engine.
+func TestStateResumeDetectsDivergence(t *testing.T) {
+	for _, sc := range durableScenarios()[1:3] { // churn-lru-fair, chaos-et-fifo
+		t.Run(sc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			crashForState(t, sc.opts(), path)
+			bumpSpecSeed(t, path)
+			_, err := ResumeWithMode(path, &bytes.Buffer{}, CheckpointSpec{Path: path, Every: 300}, ResumeState)
+			requireDivergence(t, err, sectionImgEngine)
+		})
 	}
 }
 
@@ -292,7 +363,7 @@ func TestStateImageDetectsCorruption(t *testing.T) {
 // FuzzStateRestore hammers the state-decode path with corrupted image
 // sections: any mutation must either fail with an error or restore to the
 // exact checkpointed state — never panic, never silently diverge past the
-// fingerprint check.
+// re-encode check, which compares every section's bytes with the image.
 func FuzzStateRestore(f *testing.F) {
 	opts := Options{
 		Profile:   config.CCT(),
@@ -350,9 +421,8 @@ func FuzzStateRestore(f *testing.F) {
 		}
 		defer os.Remove(path)
 		defer os.Remove(path + snapshot.PrevSuffix)
-		// Success is allowed only if the decode+fingerprint accepted the
-		// mutation (e.g. a flipped bit in an unused float payload that
-		// decodes identically); errors must be returned, not panicked.
+		// Success is allowed only if the decode and the re-encode check
+		// accepted the mutation; errors must be returned, not panicked.
 		_, _ = ResumeWithMode(path, nil, CheckpointSpec{Path: path, Every: 300}, ResumeState)
 	})
 }

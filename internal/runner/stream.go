@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
-	"dare/internal/snapshot"
 	"dare/internal/workload"
 )
 
@@ -51,9 +49,8 @@ type StreamReportLine struct {
 // streamDriver owns service-mode generation: a self-rescheduling engine
 // event at each window boundary appends the next window's arrivals and
 // emits a report line. Generation is part of the event stream, so a
-// resumed run replays it deterministically — the generator needs no
-// serialized state of its own, only a fingerprint (addState) to prove the
-// replay landed in the same place.
+// replay resume regenerates it deterministically; the generator position
+// rides the img.stream section for state-mode restores and verification.
 type streamDriver struct {
 	spec       StreamRunSpec
 	src        *workload.Stream
@@ -126,14 +123,6 @@ func (sd *streamDriver) emitReport(now float64, arrivals int) {
 	}
 }
 
-// addState folds the generator position into the checkpoint fingerprint.
-func (sd *streamDriver) addState(tab *snapshot.StateTable) {
-	h := snapshot.NewHash()
-	sd.src.AddState(h)
-	tab.AddHash("stream.generator", h)
-	tab.Add("stream.nextWindow", uint64(sd.nextWindow))
-}
-
 // validateStreamOptions rejects option families whose horizons default to
 // the workload's arrival span — a service run has no fixed span, so those
 // scenarios need the batch driver.
@@ -160,107 +149,18 @@ func validateStreamOptions(opts Options, scfg StreamRunSpec) error {
 // raised. With scfg.Horizon > 0 generation stops there, in-flight jobs
 // drain, and the Output summarizes everything that ran.
 func RunStream(opts Options, scfg StreamRunSpec, report io.Writer, ck CheckpointSpec) (*Output, error) {
-	if err := validateStreamOptions(opts, scfg); err != nil {
+	d, err := newDurable(opts, &scfg, report, ck, nil, false)
+	if err != nil {
 		return nil, err
 	}
-	return driveStream(opts, scfg, report, ck, nil, nil)
+	d.startFresh()
+	return d.run()
 }
 
-// ResumeStream continues a service-mode run from the checkpoint at path.
-// eventLog and report must be fresh sinks when the original run had them
-// (the replay re-emits both streams from genesis, byte-identically).
+// ResumeStream continues a service-mode run from the checkpoint at path
+// by replay. eventLog and report must be fresh sinks when the original
+// run had them (the replay re-emits both streams from genesis,
+// byte-identically).
 func ResumeStream(path string, eventLog, report io.Writer, ck CheckpointSpec) (*Output, error) {
-	if ck.Path == "" {
-		ck.Path = path
-	}
-	f, _, err := snapshot.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	spec, cur, tab, err := decodeCheckpoint(f)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Stream == nil {
-		return nil, fmt.Errorf("runner: checkpoint %s holds a batch run; use Resume", path)
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		return nil, err
-	}
-	opts.Workload = nil // rebuilt by the stream generator
-	if eventLog != nil {
-		opts.EventLog = eventLog
-	} else if cur.EventBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded an event log (%d bytes at cut); resume needs the re-opened sink to reproduce it", cur.EventBytes)
-	}
-	if report == nil && cur.ReportBytes > 0 {
-		return nil, fmt.Errorf("runner: checkpoint recorded a stream report (%d bytes at cut); resume needs the re-opened sink to reproduce it", cur.ReportBytes)
-	}
-	if err := validateStreamOptions(opts, *spec.Stream); err != nil {
-		return nil, err
-	}
-	return driveStream(opts, *spec.Stream, report, ck, &resumeCut{cursor: *cur, table: tab}, mustSection(f, sectionSpec))
-}
-
-// driveStream is the shared wiring behind RunStream and ResumeStream. A
-// nil cut starts fresh; a non-nil one replays from genesis to the cut,
-// verifies, and continues live.
-func driveStream(opts Options, scfg StreamRunSpec, report io.Writer, ck CheckpointSpec, cut *resumeCut, specData []byte) (*Output, error) {
-	src := workload.NewStream(workload.StreamConfig{
-		Gen:              scfg.Gen,
-		DiurnalAmplitude: scfg.DiurnalAmplitude,
-		DiurnalPeriod:    scfg.DiurnalPeriod,
-	})
-	opts.Workload = src.Workload()
-	if specData == nil {
-		spec, err := SpecFromOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		spec.Stream = &scfg
-		if specData, err = encodeSpec(spec); err != nil {
-			return nil, err
-		}
-	}
-	var cw, rw *countingWriter
-	if opts.EventLog != nil {
-		cw = newCountingWriter(opts.EventLog)
-		opts.EventLog = cw
-	}
-	if report != nil {
-		rw = newCountingWriter(report)
-		report = rw
-	}
-	rs, err := newRunState(opts)
-	if err != nil {
-		return nil, err
-	}
-	rs.tracker.SetStreaming(true)
-	sd := &streamDriver{spec: scfg, src: src, rs: rs, report: report}
-	d := &durable{rs: rs, ck: ck, specData: specData, cw: cw, rw: rw, stream: sd}
-	if cut != nil {
-		d.nextStop = cut.cursor.Processed
-		d.cut = cut
-	} else {
-		d.nextStop = rs.cluster.Eng.Processed() + ck.every()
-		if ck.Path == "" {
-			d.nextStop = math.MaxUint64 // no checkpointing; run uninterrupted slices
-		}
-		rs.cluster.Eng.SetInterrupt(ck.Interrupt)
-	}
-	sd.prime()
-	results, err := rs.tracker.RunWith(d.drive)
-	if err != nil {
-		return nil, err
-	}
-	if sd.reportErr != nil {
-		return nil, sd.reportErr
-	}
-	if d.cut != nil {
-		return nil, &DivergenceError{Rows: []string{fmt.Sprintf(
-			"run completed at %d processed events, before the checkpoint cut at %d — the replay is not the run that was checkpointed",
-			rs.cluster.Eng.Processed(), cut.cursor.Processed)}}
-	}
-	return rs.finish(results)
+	return resume(path, eventLog, report, ck, ResumeReplay, true)
 }

@@ -17,9 +17,12 @@ import (
 // the run is rebuilt at restore. The image therefore splits the pending
 // set three ways:
 //
-//   - genesis events (seq below the watermark, no tag): stored as bare
-//     seq references; restore keeps the reconstructed event and drops
-//     the rest (they already fired or were canceled in the original);
+//   - genesis events (seq below the watermark, no tag): stored as
+//     (seq, when) references; restore keeps the reconstructed event and
+//     drops the rest (they already fired or were canceled in the
+//     original). The when rides along so the image pins the whole
+//     pending calendar: a reconstruction that rescheduled a genesis
+//     event re-encodes to different bytes;
 //   - owned events (tag == Owned): skipped here; the owning component
 //     (Cohort, the tracker's in-flight task records, the stream
 //     driver) serializes the (when, seq) pair plus whatever context its
@@ -29,8 +32,7 @@ import (
 //     the payload at decode.
 //
 // A runtime-created event with no tag is not serializable: EncodePending
-// returns an UntaggedEventError and the checkpoint is written without
-// state sections, so resume falls back to the replay oracle.
+// returns an UntaggedEventError and the checkpoint write fails.
 
 // EventTag makes a runtime-created event serializable. Implementations
 // live in the layer that schedules the event; TagKind returns a kind
@@ -86,9 +88,10 @@ func (e *Engine) DeferAtTag(when Time, tag EventTag, fn func()) {
 }
 
 // EncodePending serializes the live pending set. Events stamped before
-// watermark with no tag become genesis references; Owned events are
-// skipped; tagged events carry their payload. The walk is sorted by
-// (when, seq) so identical state always encodes to identical bytes.
+// watermark with no tag become (seq, when) genesis references; Owned
+// events are skipped; tagged events carry their payload. The walk is
+// sorted by (when, seq) so identical state always encodes to identical
+// bytes.
 func (e *Engine) EncodePending(enc *snapshot.Enc, watermark uint64) error {
 	var evs []*Event
 	e.q.each(func(ev *Event) {
@@ -114,6 +117,7 @@ func (e *Engine) EncodePending(enc *snapshot.Enc, watermark uint64) error {
 	enc.U32(uint32(len(genesis)))
 	for _, ev := range genesis {
 		enc.U64(ev.seq)
+		enc.F64(ev.when)
 	}
 	enc.U32(uint32(len(tagged)))
 	payload := snapshot.NewEnc()
@@ -132,11 +136,15 @@ func (e *Engine) EncodePending(enc *snapshot.Enc, watermark uint64) error {
 // reconstructed run that has already entered restore mode (BeginRestore):
 // genesis references keep their reconstructed events, and each tagged
 // record is handed to restore, which must rebuild the closure and call
-// RestoreEvent with the same coordinates.
+// RestoreEvent with the same coordinates. A genesis reference's stored
+// when is not checked here: the restore re-encodes the image and
+// compares bytes, which covers it.
 func (e *Engine) DecodePending(dec *snapshot.Dec, restore func(kind uint16, when Time, seq uint64, payload *snapshot.Dec) error) error {
-	nGen := dec.Count(8)
+	nGen := dec.Count(16)
 	for i := 0; i < nGen; i++ {
-		if err := e.KeepGenesis(dec.U64()); err != nil {
+		seq := dec.U64()
+		dec.F64() // when
+		if err := e.KeepGenesis(seq); err != nil {
 			if dec.Err() != nil {
 				return dec.Err()
 			}

@@ -9,9 +9,9 @@ import (
 // little-endian scalars and length-prefixed byte strings, no varints, no
 // reflection. Every layer's EncodeState writes through one of these; the
 // matching Dec reads fields back in the identical order. The format is
-// deliberately dumb — a state image is verified against the fingerprint
-// StateTable after decode, so the codec only needs to be deterministic
-// and exact, not self-describing.
+// deliberately dumb — a restored run is verified by re-encoding it and
+// comparing bytes with the stored image, so the codec only needs to be
+// deterministic and exact, not self-describing.
 type Enc struct {
 	buf []byte
 }

@@ -14,6 +14,12 @@
 // the cut lands exactly on a section boundary. Decoding never panics and
 // never partially succeeds: any defect yields a typed error (ErrTruncated,
 // ErrChecksum, ErrVersion, ErrFormat) and no sections.
+//
+// The container does not interpret payloads. The runner stores a run's
+// spec, its cursor and one state image per layer, each written with Enc
+// by that layer's EncodeState and read back with Dec. A restored run is
+// verified by re-encoding its layers and comparing the bytes with the
+// stored images: the encoder is the only walk over a layer's state.
 package snapshot
 
 import (
@@ -31,10 +37,11 @@ const (
 )
 
 // Version is the current container format version. Decoders reject any
-// other version with ErrVersion: the state fingerprint scheme gives no
+// other version with ErrVersion: the layers' state images give no
 // cross-version compatibility guarantee, so pretending to read an old
-// snapshot would be silent corruption.
-const Version uint16 = 1
+// snapshot would be silent corruption. Version 2 dropped the fingerprint
+// table and added each genesis event's time to the engine image.
+const Version uint16 = 2
 
 // Sentinel errors; the typed errors below wrap them, so callers can use
 // errors.Is for the class and errors.As for the detail.
